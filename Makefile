@@ -1,6 +1,6 @@
 # Convenience entry points; dune is the real build system.
 
-.PHONY: all build test bench bench-hotpath bench-net bench-durability bench-obs bench-sync bench-cluster check clean
+.PHONY: all build test bench bench-micro bench-hotpath bench-net bench-durability bench-obs bench-sync bench-cluster check clean
 
 all: build
 
@@ -12,6 +12,11 @@ test:
 
 bench:
 	dune exec bench/main.exe
+
+# Bechamel micro-benchmarks (ns/op): point put and disjoint merge on a
+# 50k-entry map, 1-entry diff, lookup, blob chunking, SHA-256.
+bench-micro:
+	dune exec bench/main.exe -- micro
 
 # Hot-path microbenchmarks (SHA-256 kernel, chunker scan, node cache);
 # writes BENCH_hotpath.json.

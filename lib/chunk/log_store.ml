@@ -56,7 +56,7 @@ type counters = {
   mutable background_errors : int;
 }
 
-type entry = { off : int; len : int } (* payload position in the log file *)
+type entry = Log_index.entry = { off : int; len : int }
 
 type compact_stage = After_data | Before_switch | After_switch
 
@@ -72,7 +72,7 @@ type t = {
   mutable ckpt_len : int; (* file_len as of the last checkpoint *)
   mutable pending : int; (* records appended since the last sync *)
   mutable pending_since : float;
-  index : entry Hash.Tbl.t;
+  index : Log_index.t;
   mutable live_payload : int; (* sum of live entry lengths *)
   mutable closed : bool;
   mutable thread : Thread.t option;
@@ -103,11 +103,12 @@ let fsync_dir dir =
       (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
   | exception Unix.Unix_error _ -> ()
 
-let write_file_atomic ~fsync path data =
+(* [write] fills a temporary file that then replaces [path] atomically. *)
+let write_file_atomic_with ~fsync path write =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   (try
-     output_string oc data;
+     write oc;
      if fsync then begin
        flush oc;
        Unix.fsync (Unix.descr_of_out_channel oc)
@@ -119,6 +120,9 @@ let write_file_atomic ~fsync path data =
      raise e);
   Sys.rename tmp path;
   if fsync then fsync_dir (Filename.dirname path)
+
+let write_file_atomic ~fsync path data =
+  write_file_atomic_with ~fsync path (fun oc -> output_string oc data)
 
 let read_file_opt path =
   match
@@ -232,29 +236,32 @@ let scan_records path ~start ~size ?(verify_hash = fun _ _ -> ()) apply =
 
 (* ------------------------- checkpoint index ------------------------- *)
 
+(* Streamed record by record under a running CRC, so the file image of a
+   large index is never built in memory. *)
 let write_checkpoint_file ~fsync path ~gen ~covered index =
-  let count = Hash.Tbl.length index in
-  let b = Buffer.create (36 + (count * 48)) in
-  Buffer.add_string b idx_magic;
-  let add64 v =
-    let s = Bytes.create 8 in
-    Bytes.set_int64_be s 0 (Int64.of_int v);
-    Buffer.add_bytes b s
-  in
-  add64 gen;
-  add64 covered;
-  add64 count;
-  Hash.Tbl.iter
-    (fun id e ->
-      Buffer.add_string b (Hash.to_raw id);
-      add64 e.off;
-      add64 e.len)
-    index;
-  let body = Buffer.contents b in
-  let crc = Crc32.string body in
-  let s = Bytes.create 4 in
-  Bytes.set_int32_be s 0 (Int32.of_int crc);
-  write_file_atomic ~fsync path (body ^ Bytes.to_string s)
+  write_file_atomic_with ~fsync path (fun oc ->
+      let crc = ref Crc32.empty in
+      let buf = Bytes.create 48 in
+      let emit len =
+        crc := Crc32.update_bytes_sub !crc buf ~pos:0 ~len;
+        output oc buf 0 len
+      in
+      let set64 pos v = Bytes.set_int64_be buf pos (Int64.of_int v) in
+      Bytes.blit_string idx_magic 0 buf 0 8;
+      emit 8;
+      set64 0 gen;
+      set64 8 covered;
+      set64 16 (Log_index.length index);
+      emit 24;
+      Log_index.iter
+        (fun id e ->
+          Bytes.blit_string (Hash.to_raw id) 0 buf 0 32;
+          set64 32 e.off;
+          set64 40 e.len;
+          emit 48)
+        index;
+      Bytes.set_int32_be buf 0 (Int32.of_int !crc);
+      output oc buf 0 4)
 
 (* Returns [Some (covered, entries)] when the checkpoint verifies and
    describes a prefix of the current log file; anything suspicious makes
@@ -280,7 +287,7 @@ let load_checkpoint path ~gen ~file_size =
         || covered < header_size || covered > file_size
       then None
       else begin
-        let entries = Hash.Tbl.create (max 16 count) in
+        let entries = Log_index.create count in
         let ok = ref true in
         (try
            for i = 0 to count - 1 do
@@ -290,7 +297,7 @@ let load_checkpoint path ~gen ~file_size =
              let len = u64be raw (base + 40) in
              if off < header_size || len < 0 || off + len > covered then
                ok := false;
-             Hash.Tbl.replace entries id { off; len }
+             Log_index.replace entries id { off; len }
            done
          with _ -> ok := false);
         if !ok then Some (covered, entries) else None
@@ -305,11 +312,11 @@ let register_gauges t =
   gi "generation" (fun () -> t.gen);
   gi "file_bytes" (fun () -> t.file_len);
   gi "synced_bytes" (fun () -> t.synced_len);
-  gi "live_chunks" (fun () -> Hash.Tbl.length t.index);
+  gi "live_chunks" (fun () -> Log_index.length t.index);
   gi "live_bytes" (fun () -> t.live_payload);
   gi "garbage_bytes" (fun () ->
       t.file_len - header_size - t.live_payload
-      - (rec_overhead * Hash.Tbl.length t.index));
+      - (rec_overhead * Log_index.length t.index));
   gi "appends" (fun () -> t.c.appends);
   gi "deletes" (fun () -> t.c.deletes);
   gi "flushes" (fun () -> t.c.flushes);
@@ -328,7 +335,7 @@ let locked t f =
 
 let garbage_locked t =
   t.file_len - header_size - t.live_payload
-  - (rec_overhead * Hash.Tbl.length t.index)
+  - (rec_overhead * Log_index.length t.index)
 
 let checkpoint_locked t =
   write_checkpoint_file ~fsync:t.config.fsync (idx_file t.root t.gen)
@@ -472,14 +479,14 @@ let recover t =
   let start =
     match load_checkpoint (idx_file t.root t.gen) ~gen:t.gen ~file_size:size with
     | Some (covered, entries) ->
-      Hash.Tbl.iter (fun id e -> Hash.Tbl.replace t.index id e) entries;
+      Log_index.iter (fun id e -> Log_index.replace t.index id e) entries;
       covered
     | None -> header_size
   in
   let stop, replayed =
     scan_records path ~start ~size (fun ~kind ~id ~off ~len ~payload:_ ->
-        if kind = 0 then Hash.Tbl.replace t.index id { off; len }
-        else Hash.Tbl.remove t.index id)
+        if kind = 0 then Log_index.replace t.index id { off; len }
+        else Log_index.remove t.index id)
   in
   t.c.replayed_records <- t.c.replayed_records + replayed;
   if stop < size then begin
@@ -496,7 +503,7 @@ let recover t =
   t.file_len <- stop;
   t.synced_len <- stop;
   t.ckpt_len <- stop;
-  t.live_payload <- Hash.Tbl.fold (fun _ e acc -> acc + e.len) t.index 0
+  t.live_payload <- Log_index.fold (fun _ e acc -> acc + e.len) t.index 0
 
 (* ------------------------- compaction ------------------------- *)
 
@@ -513,7 +520,7 @@ let compact_locked ?(live = fun _ -> true) ?(on_stage = fun _ -> ()) t =
   let new_gen = t.gen + 1 in
   let new_log = log_file t.root new_gen in
   let tmp = new_log ^ ".tmp" in
-  let new_index = Hash.Tbl.create (max 16 (Hash.Tbl.length t.index)) in
+  let new_index = Log_index.create (Log_index.length t.index) in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   let new_len = ref header_size in
   (try
@@ -523,7 +530,7 @@ let compact_locked ?(live = fun _ -> true) ?(on_stage = fun _ -> ()) t =
          write_all fd (header_bytes new_gen);
          (* Rewrite in offset order: sequential reads of the old file. *)
          let entries =
-           Hash.Tbl.fold (fun id e acc -> (id, e) :: acc) t.index []
+           Log_index.fold (fun id e acc -> (id, e) :: acc) t.index []
            |> List.sort (fun (_, a) (_, b) -> compare a.off b.off)
          in
          List.iter
@@ -534,7 +541,7 @@ let compact_locked ?(live = fun _ -> true) ?(on_stage = fun _ -> ()) t =
                | Some payload ->
                  let b = encode_record ~kind:0 ~id ~payload in
                  write_all fd b;
-                 Hash.Tbl.replace new_index id
+                 Log_index.replace new_index id
                    { off = !new_len + rec_head_size; len = e.len };
                  new_len := !new_len + Bytes.length b)
            entries;
@@ -557,13 +564,13 @@ let compact_locked ?(live = fun _ -> true) ?(on_stage = fun _ -> ()) t =
   reopen_fds_locked t;
   (try Sys.remove (log_file t.root old_gen) with Sys_error _ -> ());
   (try Sys.remove (idx_file t.root old_gen) with Sys_error _ -> ());
-  Hash.Tbl.reset t.index;
-  Hash.Tbl.iter (fun id e -> Hash.Tbl.replace t.index id e) new_index;
+  Log_index.reset t.index;
+  Log_index.iter (fun id e -> Log_index.replace t.index id e) new_index;
   t.file_len <- !new_len;
   t.synced_len <- !new_len;
   t.ckpt_len <- !new_len;
   t.pending <- 0;
-  t.live_payload <- Hash.Tbl.fold (fun _ e acc -> acc + e.len) t.index 0;
+  t.live_payload <- Log_index.fold (fun _ e acc -> acc + e.len) t.index 0;
   t.c.compactions <- t.c.compactions + 1
 
 (* ------------------------- background thread ------------------------- *)
@@ -625,7 +632,7 @@ let create ?(config = default_config) ~root () =
       ckpt_len = 0;
       pending = 0;
       pending_since = 0.0;
-      index = Hash.Tbl.create 1024;
+      index = Log_index.create 1024;
       live_payload = 0;
       closed = false;
       thread = None;
@@ -686,7 +693,7 @@ let generation t = locked t (fun () -> t.gen)
 let file_bytes t = locked t (fun () -> t.file_len)
 let synced_bytes t = locked t (fun () -> t.synced_len)
 let garbage_bytes t = locked t (fun () -> garbage_locked t)
-let live_chunks t = locked t (fun () -> Hash.Tbl.length t.index)
+let live_chunks t = locked t (fun () -> Log_index.length t.index)
 let counters t = t.c
 let log_path t = log_file t.root t.gen
 let idx_path t = idx_file t.root t.gen
@@ -701,14 +708,14 @@ let store t =
         let size = Chunk.encoded_size chunk in
         t.puts <- t.puts + 1;
         t.logical_bytes <- t.logical_bytes + size;
-        if Hash.Tbl.mem t.index id then begin
+        if Log_index.mem t.index id then begin
           t.dedup_hits <- t.dedup_hits + 1;
           id
         end
         else begin
           let payload = Chunk.encode chunk in
           let off = append_record_locked t ~kind:0 ~id ~payload in
-          Hash.Tbl.replace t.index id { off; len = size };
+          Log_index.replace t.index id { off; len = size };
           t.live_payload <- t.live_payload + size;
           t.c.appends <- t.c.appends + 1;
           id
@@ -718,7 +725,7 @@ let store t =
     locked t (fun () ->
         ensure_open t;
         if count then t.gets <- t.gets + 1;
-        match Hash.Tbl.find_opt t.index id with
+        match Log_index.find_opt t.index id with
         | None -> None
         | Some e -> pread_locked t e.off e.len)
   in
@@ -730,15 +737,15 @@ let store t =
       match Chunk.decode raw with Ok c -> Some c | Error _ -> None)
   in
   let peek id = read ~count:false id in
-  let mem id = locked t (fun () -> Hash.Tbl.mem t.index id) in
+  let mem id = locked t (fun () -> Log_index.mem t.index id) in
   let delete id =
     locked t (fun () ->
         ensure_open t;
-        match Hash.Tbl.find_opt t.index id with
+        match Log_index.find_opt t.index id with
         | None -> false
         | Some e ->
           ignore (append_record_locked t ~kind:1 ~id ~payload:"");
-          Hash.Tbl.remove t.index id;
+          Log_index.remove t.index id;
           t.live_payload <- t.live_payload - e.len;
           t.c.deletes <- t.c.deletes + 1;
           true)
@@ -747,14 +754,14 @@ let store t =
     (* Snapshot the ids, then re-look each one up: a compaction between
        the snapshot and the read invalidates offsets but not ids, and a
        concurrently deleted id is an absence (File_store's TOCTOU rule). *)
-    let ids = locked t (fun () -> Hash.Tbl.fold (fun id _ acc -> id :: acc) t.index []) in
+    let ids = locked t (fun () -> Log_index.fold (fun id _ acc -> id :: acc) t.index []) in
     List.iter
       (fun id -> match peek id with Some raw -> f id raw | None -> ())
       ids
   in
   let stats () =
     locked t (fun () ->
-        { Store.physical_chunks = Hash.Tbl.length t.index;
+        { Store.physical_chunks = Log_index.length t.index;
           physical_bytes = t.live_payload;
           puts = t.puts;
           dedup_hits = t.dedup_hits;
@@ -799,11 +806,11 @@ let pp_fsck ppf r =
     (List.length r.fsck_orphan_gens)
 
 let same_index a b =
-  Hash.Tbl.length a = Hash.Tbl.length b
-  && Hash.Tbl.fold
+  Log_index.length a = Log_index.length b
+  && Log_index.fold
        (fun id (e : entry) acc ->
          acc
-         && match Hash.Tbl.find_opt b id with
+         && match Log_index.find_opt b id with
             | Some e' -> e.off = e'.off && e.len = e'.len
             | None -> false)
        a true
@@ -820,15 +827,15 @@ let fsck ~root =
       match
         let size = (Unix.stat path).Unix.st_size in
         let bad = ref [] in
-        let full = Hash.Tbl.create 256 in
+        let full = Log_index.create 256 in
         let stop, records =
           scan_records path ~start:header_size ~size
             ~verify_hash:(fun id payload ->
               if not (Hash.equal (Hash.of_string payload) id) then
                 bad := id :: !bad)
             (fun ~kind ~id ~off ~len ~payload:_ ->
-              if kind = 0 then Hash.Tbl.replace full id { off; len }
-              else Hash.Tbl.remove full id)
+              if kind = 0 then Log_index.replace full id { off; len }
+              else Log_index.remove full id)
         in
         let idx_valid, idx_consistent =
           if not (Sys.file_exists (idx_file root gen)) then (true, true)
@@ -836,13 +843,13 @@ let fsck ~root =
             match load_checkpoint (idx_file root gen) ~gen ~file_size:stop with
             | None -> (false, false)
             | Some (covered, entries) ->
-              let via_idx = Hash.Tbl.create (Hash.Tbl.length entries) in
-              Hash.Tbl.iter (fun id e -> Hash.Tbl.replace via_idx id e) entries;
+              let via_idx = Log_index.create (Log_index.length entries) in
+              Log_index.iter (fun id e -> Log_index.replace via_idx id e) entries;
               ignore
                 (scan_records path ~start:covered ~size:stop
                    (fun ~kind ~id ~off ~len ~payload:_ ->
-                     if kind = 0 then Hash.Tbl.replace via_idx id { off; len }
-                     else Hash.Tbl.remove via_idx id));
+                     if kind = 0 then Log_index.replace via_idx id { off; len }
+                     else Log_index.remove via_idx id));
               (true, same_index full via_idx)
         in
         let orphans =
@@ -853,7 +860,7 @@ let fsck ~root =
         in
         { fsck_generation = gen;
           fsck_records = records;
-          fsck_live = Hash.Tbl.length full;
+          fsck_live = Log_index.length full;
           fsck_bytes = size;
           fsck_torn_bytes = size - stop;
           fsck_bad_hash = List.rev !bad;

@@ -5,6 +5,13 @@ type violations = {
   mutable last_offender : Hash.t option;
 }
 
+(* Once mode remembers verified ids in two generations.  When the current
+   one fills, it becomes the old one and the previous old one is dropped,
+   so memory stays bounded however many distinct chunks are read.  An id
+   found in the old generation moves back to the current one, so ids in
+   steady use are kept; a forgotten id is merely verified again. *)
+let seen_generation = 8192
+
 let wrap ?(once = false) (inner : Store.t) =
   let v = { rejected_reads = 0; last_offender = None } in
   (* [once] mode: ids whose served bytes already passed the hash check.
@@ -15,14 +22,26 @@ let wrap ?(once = false) (inner : Store.t) =
   (* Concurrent readers race to record first-read verdicts; the table is
      guarded so a resize cannot tear under a parallel probe (the re-hash
      itself runs outside the lock — verifying twice is harmless). *)
-  let seen : unit Hash.Tbl.t = Hash.Tbl.create 64 in
+  let seen = ref (Hash.Tbl.create 64) and older = ref (Hash.Tbl.create 1) in
   let seen_lock = Mutex.create () in
+  (* Callers hold [seen_lock]. *)
+  let remember id =
+    Hash.Tbl.replace !seen id ();
+    if Hash.Tbl.length !seen >= seen_generation then begin
+      older := !seen;
+      seen := Hash.Tbl.create 64
+    end
+  in
+  let trusted id =
+    once
+    && Mutex.protect seen_lock (fun () ->
+           Hash.Tbl.mem !seen id
+           || (Hash.Tbl.mem !older id && (remember id; true)))
+  in
   let check_bytes id raw =
-    if once && Mutex.protect seen_lock (fun () -> Hash.Tbl.mem seen id) then
-      Some raw
+    if trusted id then Some raw
     else if Hash.equal (Hash.of_string raw) id then begin
-      if once then
-        Mutex.protect seen_lock (fun () -> Hash.Tbl.replace seen id ());
+      if once then Mutex.protect seen_lock (fun () -> remember id);
       Some raw
     end
     else begin
@@ -48,10 +67,16 @@ let wrap ?(once = false) (inner : Store.t) =
       match Chunk.decode raw with Ok c -> Some c | Error _ -> None)
   in
   (* [mem] must not vouch for bytes a read would refuse: answer through the
-     checked (non-counting) path so a tampered chunk is absent everywhere. *)
-  let mem id = checked_peek id <> None in
+     checked (non-counting) path so a tampered chunk is absent everywhere.
+     A trusted id would be served unchecked, so asking the backend whether
+     it holds the id is enough; the node cache asks this on every hit. *)
+  let mem id =
+    if trusted id then inner.Store.mem id else checked_peek id <> None
+  in
   let delete id =
-    Mutex.protect seen_lock (fun () -> Hash.Tbl.remove seen id);
+    Mutex.protect seen_lock (fun () ->
+        Hash.Tbl.remove !seen id;
+        Hash.Tbl.remove !older id);
     inner.Store.delete id
   in
   ( { inner with

@@ -12,13 +12,19 @@ type violations = {
   mutable last_offender : Fb_hash.Hash.t option;
 }
 
+val seen_generation : int
+(** Ids per generation of a [once]-mode wrapper's trusted set. *)
+
 val wrap : ?once:bool -> Store.t -> Store.t * violations
 (** [wrap inner] — same contents, verified reads.  Writes pass through
     (they are self-addressed already).  [mem] also answers through the
     checked read path: a chunk whose stored bytes fail verification is
     reported absent (and counted as a violation), never vouched for.
 
-    [once] (default [false]) verifies each chunk only the first time its
-    bytes are served and trusts repeats — the cheap clean path when the
-    threat is media damage rather than a malicious provider that could
-    swap bytes between reads.  The default re-hashes every read. *)
+    [once] (default [false]) verifies each chunk the first time its bytes
+    are served and trusts repeats — the cheap clean path when the threat
+    is media damage rather than a malicious provider that could swap bytes
+    between reads.  The set of trusted ids is bounded (two generations of
+    a few thousand ids, refreshed on use), so an id not served for a long
+    while is verified again rather than remembered forever.  The default
+    re-hashes every read. *)

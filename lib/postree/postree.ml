@@ -9,6 +9,13 @@ exception Corrupt of string
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
+(* Work done by [update], summed over every instantiation: encoded bytes
+   of the chunks it builds (each one is SHA-256'd), and old child ids it
+   copies into rebuilt index nodes, each standing for a sub-tree kept by
+   reference without being read, encoded, hashed or put. *)
+let bytes_hashed = Obs.counter "postree.update.bytes_hashed"
+let chunks_reused = Obs.counter "postree.update.chunks_reused"
+
 module type ENTRY = Postree_intf.ENTRY
 module type S = Postree_intf.S
 
@@ -117,37 +124,62 @@ module Make (E : ENTRY) = struct
     | [] -> invalid_arg "last_exn"
     | l -> List.nth l (List.length l - 1)
 
+  (* What building and updating need to know about the items of one level:
+     entries at the leaves, index entries above. *)
+  type 'a level = {
+    key_of : 'a -> E.key;
+    encode_item : 'a -> string;
+    count_of : 'a -> int;
+    mk_chunk : 'a list -> Chunk.t;
+    to_node : 'a list -> node;
+    items_of : Hash.t -> node -> 'a list;
+  }
+
+  let leaf_level =
+    { key_of = E.key;
+      encode_item = encode_entry;
+      count_of = (fun _ -> 1);
+      mk_chunk = leaf_chunk;
+      to_node = (fun es -> Leaf es);
+      items_of =
+        (fun h -> function
+          | Leaf es -> es
+          | Index _ -> corrupt "expected leaf at %s" (Hash.to_hex h)) }
+
+  let index_level =
+    { key_of = (fun ie -> ie.split);
+      encode_item = (fun ie -> Codec.to_string encode_index_entry ie);
+      count_of = (fun ie -> ie.count);
+      mk_chunk = index_chunk;
+      to_node = (fun ies -> Index ies);
+      items_of =
+        (fun h -> function
+          | Index ies -> ies
+          | Leaf _ -> corrupt "expected index node at %s" (Hash.to_hex h)) }
+
+  (* The parent's index entry for a node holding [items] stored as [id]. *)
+  let entry_of lvl items id =
+    { split = lvl.key_of (last_exn items);
+      child = id;
+      count = List.fold_left (fun a it -> a + lvl.count_of it) 0 items }
+
   (* Chunk a level's items into nodes; return one index entry per node. *)
-  let chunk_level ~mk_chunk ~encode_item ~split_of ~count_of store items =
+  let chunk_level lvl put items =
     let out = ref [] in
     let emit items =
-      let chunk = mk_chunk items in
-      let id = Store.put store chunk in
-      let count = List.fold_left (fun a it -> a + count_of it) 0 items in
-      out := { split = split_of (last_exn items); child = id; count } :: !out
+      out := entry_of lvl items (put (lvl.mk_chunk items)) :: !out
     in
     let ch = Chunker.create ~params ~max_bytes:max_node_bytes ~emit () in
-    List.iter (fun it -> Chunker.add ch it (encode_item it)) items;
+    List.iter (fun it -> Chunker.add ch it (lvl.encode_item it)) items;
     Chunker.finish ch;
     List.rev !out
 
-  let chunk_leaf_level store entries =
-    chunk_level ~mk_chunk:leaf_chunk ~encode_item:encode_entry
-      ~split_of:E.key ~count_of:(fun _ -> 1) store entries
-
-  let chunk_index_level store ies =
-    chunk_level ~mk_chunk:index_chunk
-      ~encode_item:(fun ie -> Codec.to_string encode_index_entry ie)
-      ~split_of:(fun ie -> ie.split)
-      ~count_of:(fun ie -> ie.count)
-      store ies
-
   (* Collapse rows upward until a single node remains. *)
-  let rec build_up store row =
+  let rec build_up put row =
     match row with
     | [] -> None
     | [ ie ] -> Some ie.child
-    | _ -> build_up store (chunk_index_level store row)
+    | _ -> build_up put (chunk_level index_level put row)
 
   let sort_dedup_entries entries =
     (* Stable sort + last-wins on duplicate keys. *)
@@ -165,18 +197,15 @@ module Make (E : ENTRY) = struct
   let build store entries =
     Obs.with_span span_build @@ fun () ->
     let entries = sort_dedup_entries entries in
-    { store; root = build_up store (chunk_leaf_level store entries) }
+    let put = Store.put store in
+    { store; root = build_up put (chunk_level leaf_level put entries) }
 
   let build_sorted_seq store seq =
     Obs.with_span span_build @@ fun () ->
+    let put = Store.put store in
     let out = ref [] in
     let emit items =
-      let chunk = leaf_chunk items in
-      let id = Store.put store chunk in
-      out :=
-        { split = E.key (last_exn items); child = id;
-          count = List.length items }
-        :: !out
+      out := entry_of leaf_level items (put (leaf_chunk items)) :: !out
     in
     let ch = Chunker.create ~params ~max_bytes:max_node_bytes ~emit () in
     let prev = ref None in
@@ -191,7 +220,7 @@ module Make (E : ENTRY) = struct
         Chunker.add ch e (encode_entry e))
       seq;
     Chunker.finish ch;
-    { store; root = build_up store (List.rev !out) }
+    { store; root = build_up put (List.rev !out) }
 
   (* ---------------- accessors ---------------- *)
 
@@ -404,9 +433,7 @@ module Make (E : ENTRY) = struct
         (* Only reachable when the root itself is a leaf. *)
         (match entries with
          | [] -> []
-         | _ ->
-           [ { split = E.key (last_exn entries); child = h;
-               count = List.length entries } ])
+         | _ -> [ entry_of leaf_level entries h ])
       | Index ies -> (
         match ies with
         | [] -> []
@@ -417,12 +444,19 @@ module Make (E : ENTRY) = struct
     in
     match t.root with None -> [] | Some h -> rows h
 
-  let leaf_entries t h =
-    match read_node t.store h with
-    | Leaf entries -> entries
-    | Index _ -> corrupt "expected leaf at %s" (Hash.to_hex h)
+  (* ---------------- update ----------------
 
-  (* ---------------- update ---------------- *)
+     Each level of a POS-Tree is its row of items (entries at the leaves,
+     the index entries of the level below above them) cut into nodes by
+     the chunker, which restarts at every node boundary.  So where an
+     edited level's row matches the old one from an old node boundary on,
+     chunking it again would only reproduce the old nodes.  [update] walks
+     the levels bottom-up and re-chunks, at each, just the old nodes from
+     the first edited item to the point where the chunker is idle at an old
+     boundary with no edit before the next old node.  The old nodes so
+     replaced, and their replacements, are the edits of the parent row.
+     Nodes are reached by descending from the root; untouched ones are
+     never read, encoded, hashed or put. *)
 
   let edit_key = function Put e -> E.key e | Remove k -> k
 
@@ -440,6 +474,118 @@ module Make (E : ENTRY) = struct
     in
     dedup sorted
 
+  (* A node of the old tree at some level: its index entry and, for each
+     level above, innermost first, the siblings to the right of its
+     ancestor there. *)
+  type cursor = { here : index_entry; right : index_entry list list }
+
+  (* The node at [level] whose key range holds [k]: the first child whose
+     split is >= [k] at every step down from [root] (at level [top]), else
+     the last one, exactly as [find] routes. *)
+  let seek store ~root ~top level k =
+    let rec down h lvl right =
+      match read_node store h with
+      | Leaf _ | Index [] -> corrupt "seek: bad index node %s" (Hash.to_hex h)
+      | Index (ie :: rest) ->
+        let rec pick ie = function
+          | next :: rest when E.compare_key k ie.split > 0 -> pick next rest
+          | rest -> (ie, rest)
+        in
+        let ie, rest = pick ie rest in
+        let right = rest :: right in
+        if lvl - 1 = level then { here = ie; right }
+        else down ie.child (lvl - 1) right
+    in
+    if level = top then { here = root; right = [] } else down root.child top []
+
+  (* The node after [c] on its level, if any: climb to the nearest
+     ancestor with a right sibling and take that sibling's leftmost
+     descendant. *)
+  let next store c =
+    let rec advance = function
+      | [] -> None
+      | (ie :: rest) :: up -> Some { here = ie; right = rest :: up }
+      | [] :: up ->
+        Option.map
+          (fun p ->
+            match read_node store p.here.child with
+            | Index (ie :: rest) -> { here = ie; right = rest :: p.right }
+            | Leaf _ | Index [] ->
+              corrupt "next: bad index node %s" (Hash.to_hex p.here.child))
+          (advance up)
+    in
+    advance c.right
+
+  (* Re-chunk one level around key-sorted item edits ([Some item] puts,
+     [None] removes).  Chunking starts at an edited old node, with the
+     chunker at a boundary since the node before is unchanged; it runs on
+     into the next old node while the chunker holds items, and closes the
+     span at an idle boundary.  A key beyond every split goes to the
+     level-last node, the only one that may end without a pattern.
+     [carry] is called for each old item copied into a new node.  Returns
+     the spans in key order as (old nodes, new nodes). *)
+  let resync lvl ~store ~seek ~put ~carry edits =
+    let spans = ref [] and olds = ref [] and news = ref [] in
+    let emit items =
+      let id = put (lvl.mk_chunk items) (lvl.to_node items) in
+      news := entry_of lvl items id :: !news
+    in
+    let ch = Chunker.create ~params ~max_bytes:max_node_bytes ~emit () in
+    let add it = Chunker.add ch it (lvl.encode_item it) in
+    let apply (_, item) = Option.iter add item in
+    let close () =
+      spans := (List.rev !olds, List.rev !news) :: !spans;
+      olds := [];
+      news := []
+    in
+    let rec load c edits =
+      olds := c.here :: !olds;
+      let h = c.here.child in
+      merge c (lvl.items_of h (read_node store h)) edits
+    and merge c items edits =
+      match items, edits with
+      | it :: items', ((k, _) as ed) :: eds ->
+        let cmp = E.compare_key (lvl.key_of it) k in
+        if cmp < 0 then (carry (); add it; merge c items' edits)
+        else (apply ed; merge c (if cmp = 0 then items' else items) eds)
+      | it :: items', [] -> carry (); add it; merge c items' []
+      | [], _ -> boundary c edits
+    and boundary c edits =
+      let busy = Chunker.pending ch in
+      if edits = [] && not busy then close ()
+      else
+        match next store c with
+        | None ->
+          List.iter apply edits;
+          Chunker.finish ch;
+          close ()
+        | Some c' when busy -> load c' edits
+        | Some _ ->
+          close ();
+          load (seek (fst (List.hd edits))) edits
+    in
+    (match edits with [] -> () | (k, _) :: _ -> load (seek k) edits);
+    List.rev !spans
+
+  (* A span's edits to the parent row: its old nodes' entries leave, its
+     new ones enter; a new entry with an old split key replaces it. *)
+  let lift spans =
+    let rec go olds news acc =
+      match olds, news with
+      | [], [] -> acc
+      | o :: os, [] -> go os [] ((o.split, None) :: acc)
+      | [], n :: ns -> go [] ns ((n.split, Some n) :: acc)
+      | o :: os, n :: ns ->
+        let c = E.compare_key o.split n.split in
+        if c < 0 then go os news ((o.split, None) :: acc)
+        else go (if c = 0 then os else olds) ns ((n.split, Some n) :: acc)
+    in
+    List.rev
+      (List.fold_left (fun acc (olds, news) -> go olds news acc) [] spans)
+
+  let same_nodes olds news =
+    List.equal (fun a b -> Hash.equal a.child b.child) olds news
+
   let update t edits =
     let edits = sort_dedup_edits edits in
     if edits = [] then t
@@ -451,78 +597,80 @@ module Make (E : ENTRY) = struct
           List.filter_map (function Put e -> Some e | Remove _ -> None) edits
         in
         build t.store entries
-      | Some _ ->
-        let row = leaf_row t in
-        (* The new leaf row is assembled left to right; untouched original
-           leaves are passed through by reference, leaves overlapping an
-           edit cluster are re-chunked, and chunking continues after each
-           cluster only until a node boundary re-synchronizes with the
-           original layout.  The result is bit-identical to a full rebuild
-           over the edited record set. *)
-        let out = ref [] in
-        let reuse ie = out := ie :: !out in
-        let emit items =
-          let chunk = leaf_chunk items in
-          let id = Store.put t.store chunk in
-          out :=
-            { split = E.key (last_exn items); child = id;
-              count = List.length items }
-            :: !out
+      | Some root ->
+        let store = t.store in
+        let top = height t - 1 in
+        let root =
+          match read_node store root with
+          | Leaf es -> entry_of leaf_level es root
+          | Index ies -> entry_of index_level ies root
         in
-        let ch = Chunker.create ~params ~max_bytes:max_node_bytes ~emit () in
-        let add_entry e = Chunker.add ch e (encode_entry e) in
-        (* Reuse whole leaves strictly before the one containing [k]; a key
-           beyond every split targets the last leaf (appends coalesce into
-           it, since only the level-last node may end without a pattern). *)
-        let rec skip_to k leaves =
-          match leaves with
-          | [] -> []
-          | [ last ] -> [ last ]
-          | ie :: rest ->
-            if E.compare_key ie.split k < 0 then (reuse ie; skip_to k rest)
-            else leaves
+        let hashed chunk =
+          Obs.add bytes_hashed (Chunk.encoded_size chunk);
+          chunk
         in
-        let rec go leaves cur edits =
-          match edits, cur with
-          | [], [] ->
-            if Chunker.pending ch then (
-              match leaves with
-              | [] -> Chunker.finish ch
-              | l :: ls -> go ls (leaf_entries t l.child) [])
-            else
-              (* Re-synchronized: everything left is reused verbatim. *)
-              List.iter reuse leaves
-          | [], e :: cur' ->
-            add_entry e;
-            go leaves cur' []
-          | ed :: _, [] when not (Chunker.pending ch) -> (
-            (* At a clean boundary with edits pending: skip ahead to the
-               next affected leaf without re-chunking the gap. *)
-            match skip_to (edit_key ed) leaves with
-            | [] ->
-              (match ed with Put e -> add_entry e | Remove _ -> ());
-              go [] [] (List.tl edits)
-            | l :: ls -> go ls (leaf_entries t l.child) edits)
-          | ed :: eds, [] -> (
-            match leaves with
-            | [] ->
-              (match ed with Put e -> add_entry e | Remove _ -> ());
-              go [] [] eds
-            | l :: ls -> go ls (leaf_entries t l.child) edits)
-          | ed :: eds, e :: cur' ->
-            let c = E.compare_key (E.key e) (edit_key ed) in
-            if c < 0 then (add_entry e; go leaves cur' edits)
-            else if c = 0 then begin
-              (match ed with Put x -> add_entry x | Remove _ -> ());
-              go leaves cur' eds
-            end
-            else begin
-              (match ed with Put x -> add_entry x | Remove _ -> ());
-              go leaves cur eds
-            end
+        (* Index nodes wait here (top level first) until the new root is
+           known: when edits shrink the tree, the levels above the new root
+           come out as one-child wrappers that must not reach the store. *)
+        let pending = ref [] in
+        let put level chunk node =
+          let chunk = hashed chunk in
+          if level = 0 then Store.put store chunk
+          else begin
+            pending := (level, chunk, node) :: !pending;
+            Chunk.hash chunk
+          end
         in
-        go row [] edits;
-        { t with root = build_up t.store (List.rev !out) }
+        let resync_at level lvl edits =
+          let carry =
+            if level = 0 then ignore else fun () -> Obs.incr chunks_reused
+          in
+          resync lvl ~store ~seek:(seek store ~root ~top level)
+            ~put:(put level) ~carry edits
+        in
+        let flush upto =
+          List.iter
+            (fun (level, chunk, _) ->
+              if level <= upto then ignore (Store.put store chunk))
+            (List.rev !pending)
+        in
+        let rec unwrap level h =
+          let node =
+            match
+              List.find_opt
+                (fun (_, c, _) -> Hash.equal (Chunk.hash c) h)
+                !pending
+            with
+            | Some (_, _, node) -> node
+            | None -> read_node store h
+          in
+          match node with
+          | Index [ ie ] -> unwrap (level - 1) ie.child
+          | Leaf _ | Index _ -> (level, h)
+        in
+        let rec climb level spans =
+          match List.filter (fun (o, n) -> not (same_nodes o n)) spans with
+          | [] -> t
+          | spans when level <= top ->
+            climb (level + 1) (resync_at level index_level (lift spans))
+          | (_, row) :: _ -> (
+            (* Past the old root level: [row] is the new top row. *)
+            match row with
+            | [] -> { t with root = None }
+            | [ ie ] ->
+              let level, h = unwrap top ie.child in
+              flush level;
+              { t with root = Some h }
+            | _ ->
+              flush top;
+              let put chunk = Store.put store (hashed chunk) in
+              { t with root = build_up put row })
+        in
+        climb 1
+          (resync_at 0 leaf_level
+             (List.map
+                (function Put e -> (E.key e, Some e) | Remove k -> (k, None))
+                edits))
 
   let insert t e = update t [ Put e ]
   let remove t k = update t [ Remove k ]
@@ -580,16 +728,16 @@ module Make (E : ENTRY) = struct
     in
     go h 1
 
-  let rec diff_nodes store h1 h2 height acc =
+  (* Each side is read from its own store: the two trees may live in
+     stores that share no chunks. *)
+  let rec diff_nodes s1 s2 h1 h2 height acc =
     if Hash.equal h1 h2 then acc
     else
-      match read_node store h1, read_node store h2 with
+      match read_node s1 h1, read_node s2 h2 with
       | Leaf e1, Leaf e2 -> diff_entries e1 e2 acc
-      | Index i1, Index i2 -> diff_rows store i1 i2 (height - 1) acc
-      | Leaf e1, Index _ ->
-        diff_entries e1 (subtree_entries store [ h2 ]) acc
-      | Index _, Leaf e2 ->
-        diff_entries (subtree_entries store [ h1 ]) e2 acc
+      | Index i1, Index i2 -> diff_rows s1 s2 i1 i2 (height - 1) acc
+      | Leaf e1, Index _ -> diff_entries e1 (subtree_entries s2 [ h2 ]) acc
+      | Index _, Leaf e2 -> diff_entries (subtree_entries s1 [ h1 ]) e2 acc
 
   (* Walk two rows of index entries (pointing to sub-trees of [height]) by
      split key.  Children that align on the same split key are recursed into
@@ -597,17 +745,17 @@ module Make (E : ENTRY) = struct
      and compared entry-wise.  Thanks to structural invariance such spans
      only appear next to actual differences, so the walk skips identical
      regions wholesale. *)
-  and diff_rows store i1 i2 height acc =
+  and diff_rows s1 s2 i1 i2 height acc =
     let flush span1 span2 acc =
       match span1, span2 with
       | [], [] -> acc
       | [ a ], [ b ] ->
         (* A lone realigned pair keeps recursing instead of flattening. *)
-        diff_nodes store a.child b.child height acc
+        diff_nodes s1 s2 a.child b.child height acc
       | _ when height > 1 ->
         (* Boundary-shifted index spans: expand one level and realign —
            the shift is local, so the next level prunes again. *)
-        let expand span =
+        let expand store span =
           List.concat_map
             (fun ie ->
               match read_node store ie.child with
@@ -617,13 +765,13 @@ module Make (E : ENTRY) = struct
                   (Hash.to_hex ie.child))
             (List.rev span)
         in
-        diff_rows store (expand span1) (expand span2) (height - 1) acc
+        diff_rows s1 s2 (expand s1 span1) (expand s2 span2) (height - 1) acc
       | _ ->
         (* Leaf-level spans: compare the actual entries. *)
         let hs l = List.rev_map (fun ie -> ie.child) l in
         diff_entries
-          (subtree_entries store (hs span1))
-          (subtree_entries store (hs span2))
+          (subtree_entries s1 (hs span1))
+          (subtree_entries s2 (hs span2))
           acc
     in
     let rec walk l1 l2 span1 span2 acc =
@@ -643,36 +791,37 @@ module Make (E : ENTRY) = struct
 
   let diff t1 t2 =
     Obs.with_span span_diff @@ fun () ->
+    let s1 = t1.store and s2 = t2.store in
     let acc =
       match t1.root, t2.root with
       | None, None -> []
       | Some h1, None ->
-        List.rev_map (fun e -> Removed e) (subtree_entries t1.store [ h1 ])
+        List.rev_map (fun e -> Removed e) (subtree_entries s1 [ h1 ])
       | None, Some h2 ->
-        List.rev_map (fun e -> Added e) (subtree_entries t2.store [ h2 ])
+        List.rev_map (fun e -> Added e) (subtree_entries s2 [ h2 ])
       | Some h1, Some h2 ->
         if Hash.equal h1 h2 then []
         else begin
-          let ht1 = node_height t1.store h1
-          and ht2 = node_height t2.store h2 in
-          if ht1 = ht2 then diff_nodes t1.store h1 h2 ht1 []
+          let ht1 = node_height s1 h1
+          and ht2 = node_height s2 h2 in
+          if ht1 = ht2 then diff_nodes s1 s2 h1 h2 ht1 []
           else begin
             (* Expand both sides to the rows one level below the shorter
                root: that is the first level where content-defined
                boundaries realign, so pruning applies again. *)
             let target = max 1 (min ht1 ht2 - 1) in
-            let row_of h ht =
+            let row_of store h ht =
               if ht = target then
                 (* Only when the shorter tree is a single leaf. *)
                 let split =
-                  match read_node t1.store h with
+                  match read_node store h with
                   | Leaf es -> E.key (last_exn es)
                   | Index ies -> (last_exn ies).split
                 in
                 [ { split; child = h; count = 0 } ]
-              else row_below t1.store h (ht - target)
+              else row_below store h (ht - target)
             in
-            diff_rows t1.store (row_of h1 ht1) (row_of h2 ht2) target []
+            diff_rows s1 s2 (row_of s1 h1 ht1) (row_of s2 h2 ht2) target []
           end
         end
     in

@@ -108,11 +108,17 @@ module type S = sig
   (** {1 Updates} *)
 
   val update : t -> edit list -> t
-  (** Apply a batch of edits.  Only the leaves overlapping the edited key
-      range are re-chunked; chunking is continued past the last edit until
-      the node boundary re-synchronizes with the original layout, then the
-      remaining pages are reused verbatim.  The result is bit-identical to
-      [build] over the edited record set (structural invariance). *)
+  (** Apply a batch of edits, level by level from the leaves up.  At each
+      level only the old nodes from the first edited item onward are
+      re-chunked, and chunking stops at the first old node boundary where
+      the chunker is idle and no edit lies before the next old node; every
+      other node is kept by reference, without being read, encoded,
+      hashed or stored.  The nodes replaced at one level, and their
+      replacements, are the edits of the level above.  Nodes are reached
+      by descending from the root, so a point edit does O(height) node
+      work.  The height grows or shrinks as [build]'s would, and the
+      result is bit-identical to [build] over the edited record set
+      (structural invariance). *)
 
   val insert : t -> entry -> t
   val remove : t -> key -> t

@@ -184,6 +184,28 @@ let test_verified_store_rejects_forged_reads () =
      Alcotest.fail "forged chunk served"
    with Fb_postree.Postree.Corrupt _ -> ())
 
+let test_verified_store_once_mode () =
+  (* Once mode trusts an id after its first verified read, answers [mem]
+     for it without reading bytes, and forgets ids not served for two
+     generations: those are verified again, so damage shows up then. *)
+  let inner, handle = Mem_store.create_with_handle () in
+  let store, violations = Verified_store.wrap ~once:true inner in
+  let id = Store.put store (Chunk.v Chunk.Leaf_blob "victim") in
+  check bool_ "first read verified" true (Store.get store id <> None);
+  ignore (Mem_store.tamper handle id ~f:(fun s -> s ^ "!"));
+  check bool_ "repeat read trusted" true (Store.get store id <> None);
+  check bool_ "mem trusts it" true (Store.mem store id);
+  check int_ "no violation while trusted" 0
+    violations.Verified_store.rejected_reads;
+  for i = 1 to 2 * Verified_store.seen_generation do
+    let other = Store.put store (Chunk.v Chunk.Leaf_blob (string_of_int i)) in
+    ignore (Store.get store other)
+  done;
+  check bool_ "forgotten id verified again" true (Store.get store id = None);
+  check bool_ "and absent to mem" false (Store.mem store id);
+  check bool_ "violations counted" true
+    (violations.Verified_store.rejected_reads >= 1)
+
 let test_cache_store_semantics () =
   let inner = Mem_store.create () in
   let store, stats = Cache_store.wrap ~capacity:2 inner in
@@ -242,6 +264,8 @@ let test_cache_store_avoids_inner_reads () =
 
 let suite =
   [ Alcotest.test_case "chunk roundtrip" `Quick test_chunk_roundtrip;
+    Alcotest.test_case "verified store once mode" `Quick
+      test_verified_store_once_mode;
     Alcotest.test_case "verified store rejects forgeries" `Quick
       test_verified_store_rejects_forged_reads;
     Alcotest.test_case "cache store semantics" `Quick

@@ -682,6 +682,51 @@ let test_persistent_backend_autodetect () =
       check bool_ "log data readable" true (Result.is_ok (FB.get fb2 ~key:"k"));
       Persistent.close ~root:log_root)
 
+(* The flat index against a Hashtbl model.  Ids share their first byte
+   mod 20 (and nothing else below byte 2), so small tables see long probe
+   runs, wrap-around at the last slot, and removals that must shift later
+   members of a run back. *)
+let qcheck_log_index_model =
+  let module Log_index = Fb_chunk.Log_index in
+  let id n =
+    Hash.of_raw_exn
+      (String.init 32 (fun i ->
+           if i = 0 then Char.chr (n mod 20)
+           else if i = 1 then Char.chr (n / 20)
+           else '\000'))
+  in
+  QCheck.Test.make ~name:"log index = Hashtbl model" ~count:300
+    QCheck.(list_of_size (Gen.int_range 0 200)
+              (triple (int_bound 2) (int_bound 59) small_nat))
+    (fun ops ->
+      let idx = Log_index.create 0 and model = Hashtbl.create 16 in
+      let agrees n =
+        Log_index.find_opt idx (id n)
+        = Option.map
+            (fun v -> { Log_index.off = v; len = v })
+            (Hashtbl.find_opt model n)
+      in
+      List.for_all
+        (fun (op, n, v) ->
+          (match op with
+           | 0 ->
+             Log_index.replace idx (id n) { Log_index.off = v; len = v };
+             Hashtbl.replace model n v
+           | 1 ->
+             Log_index.remove idx (id n);
+             Hashtbl.remove model n
+           | _ -> ());
+          agrees n && Log_index.length idx = Hashtbl.length model)
+        ops
+      && List.for_all agrees (List.init 60 Fun.id)
+      && List.sort compare
+           (Log_index.fold
+              (fun h e acc -> (Hash.to_raw h, e.Log_index.off) :: acc)
+              idx [])
+         = List.sort compare
+             (Hashtbl.fold (fun n v acc -> (Hash.to_raw (id n), v) :: acc)
+                model []))
+
 let suite =
   [ Alcotest.test_case "roundtrip and reopen" `Quick test_roundtrip_reopen;
     Alcotest.test_case "full replay without idx" `Quick
@@ -692,6 +737,7 @@ let suite =
     Alcotest.test_case "power-cut matrix: checkpoint file" `Quick
       test_idx_cut_matrix;
     QCheck_alcotest.to_alcotest qcheck_checkpoint_replay_equivalence;
+    QCheck_alcotest.to_alcotest qcheck_log_index_model;
     Alcotest.test_case "compaction" `Quick test_compaction;
     Alcotest.test_case "compaction honours gc liveness" `Quick
       test_compaction_gc_liveness;

@@ -260,6 +260,13 @@ let test_prometheus_lint () =
   Obs.gauge "test.lint.nan_ratio" (fun () -> Float.nan);
   Obs.gauge "test.lint.pos_inf" (fun () -> Float.infinity);
   Obs.gauge "test.lint.neg_inf" (fun () -> Float.neg_infinity);
+  (* One POS-Tree point edit, so the update work counters carry values. *)
+  let module Pmap = Fb_postree.Pmap in
+  let t =
+    Pmap.of_bindings (Fb_chunk.Mem_store.create ())
+      (List.init 2000 (fun i -> (Printf.sprintf "k%05d" i, "v")))
+  in
+  ignore (Pmap.put t "k01000" "edited");
   Fun.protect
     ~finally:(fun () -> Obs.unregister_gauges_prefix "test.lint.")
     (fun () ->
@@ -267,7 +274,12 @@ let test_prometheus_lint () =
       lint_prometheus dump;
       check bool_ "NaN spelled per grammar" true (Tutil.contains dump " NaN");
       check bool_ "+Inf spelled per grammar" true (Tutil.contains dump " +Inf");
-      check bool_ "-Inf spelled per grammar" true (Tutil.contains dump " -Inf"))
+      check bool_ "-Inf spelled per grammar" true (Tutil.contains dump " -Inf");
+      List.iter
+        (fun series ->
+          let typed = "# TYPE " ^ series ^ " counter\n" ^ series ^ " " in
+          check bool_ (series ^ " exported") true (Tutil.contains dump typed))
+        [ "postree_update_bytes_hashed"; "postree_update_chunks_reused" ])
 
 (* ---------------- snapshots & deltas ---------------- *)
 

@@ -8,6 +8,8 @@ module Store = Fb_chunk.Store
 module Mem_store = Fb_chunk.Mem_store
 module Hash = Fb_hash.Hash
 module Prng = Fb_hash.Prng
+module Chunk = Fb_chunk.Chunk
+module Codec = Fb_codec.Codec
 
 let check = Alcotest.check
 let bool_ = Alcotest.bool
@@ -170,6 +172,50 @@ let test_update_localized_writes () =
     true
     (created <= 4 + (3 * Pmap.height t'));
   check bool_ "validate" true (Pmap.validate t' = Ok ())
+
+let test_update_work_bound () =
+  (* The localized-writes test above counts fresh chunks only; this bounds
+     all the work.  A point edit into a 50k map (edit-map's shape: 9-byte
+     keys, 40-byte values) re-chunks just its path, so every put it issues,
+     dedup hits included, is one of at most [2 * height + 2], and the
+     logical bytes it puts stay within 1.5x the fresh bytes it stores. *)
+  let store = Mem_store.create () in
+  let rng = Prng.create 5L in
+  let value () =
+    Printf.sprintf "%016Lx%016Lx%08x" (Prng.next_int64 rng)
+      (Prng.next_int64 rng) (Prng.next_int rng 0x3fffffff)
+  in
+  let t =
+    Pmap.of_bindings store
+      (List.init 50_000 (fun i -> (Printf.sprintf "key-%05d" i, value ())))
+  in
+  let height = Pmap.height t in
+  let edits =
+    [ Pmap.Put (Pmap.binding "key-25000" (value ()));
+      Pmap.Put (Pmap.binding "key-00000" (value ()));
+      Pmap.Put (Pmap.binding "key-49999" (value ()));
+      Pmap.Put (Pmap.binding "key-12345x" (value ()));
+      Pmap.Put (Pmap.binding "zzz" (value ()));
+      Pmap.Remove "key-37000" ]
+  in
+  List.iter
+    (fun edit ->
+      let s0 = Store.stats store in
+      let t' = Pmap.update t [ edit ] in
+      let s1 = Store.stats store in
+      let puts = s1.Store.puts - s0.Store.puts in
+      let fresh = s1.Store.physical_bytes - s0.Store.physical_bytes in
+      let logical = s1.Store.logical_bytes - s0.Store.logical_bytes in
+      check bool_
+        (Printf.sprintf "%d puts <= 2 * height %d + 2" puts height)
+        true
+        (puts <= (2 * height) + 2);
+      check bool_
+        (Printf.sprintf "logical %d <= 1.5 * fresh %d" logical fresh)
+        true
+        (2 * logical <= 3 * fresh);
+      check bool_ "same height" true (Pmap.height t' = height))
+    edits
 
 let test_to_seq_lazy () =
   let store = Mem_store.create () in
@@ -415,6 +461,33 @@ let test_diff_disjoint_trees () =
 
 (* ---------------- merge ---------------- *)
 
+let test_diff_across_stores () =
+  (* Trees in two stores that share no chunks: each side must be read
+     from its own store, or the walk reports a missing chunk, a false
+     tamper claim.  Covers equal heights and the taller-side expansion. *)
+  let s1 = Mem_store.create () and s2 = Mem_store.create () in
+  let common = Mem_store.create () in
+  let bs = mk_bindings 3000 in
+  let edited =
+    ("zzz", "new")
+    :: List.filter_map
+         (fun (k, v) ->
+           if k = "key-001500" then Some (k, "changed")
+           else if k = "key-000700" then None
+           else Some (k, v))
+         bs
+  in
+  let small = [ ("key-000001", "x"); ("key-002999", "y") ] in
+  List.iter
+    (fun (a, b) ->
+      let expected =
+        Pmap.diff (Pmap.of_bindings common a) (Pmap.of_bindings common b)
+      in
+      let got = Pmap.diff (Pmap.of_bindings s1 a) (Pmap.of_bindings s2 b) in
+      check bool_ "diff needs no shared store" true (got = expected);
+      check bool_ "non-empty" true (expected <> []))
+    [ (bs, edited); (edited, bs); (bs, small); (small, bs) ]
+
 let test_merge_disjoint () =
   let store = Mem_store.create () in
   let base = Pmap.of_bindings store (mk_bindings 2000) in
@@ -551,7 +624,6 @@ let test_node_stats () =
 
 module Node_cache = Fb_postree.Node_cache
 module Gc = Fb_chunk.Gc
-module Chunk = Fb_chunk.Chunk
 
 let test_node_cache_serves_repeat_reads () =
   let store = Mem_store.create () in
@@ -683,6 +755,133 @@ let test_pset_basics () =
     (Option.equal Hash.equal (Pset.root (Pset.of_elements store elems))
        (Pset.root s))
 
+(* ---------------- update at every level ---------------- *)
+
+(* The QCheck cases below stay under one index node.  This base has four
+   levels (1/3/16/589 nodes), so batches drawn against it make [update]
+   re-chunk, resynchronize and lift edits at every level.  [splits.(d)]
+   holds the split keys of the index entries at depth [d] (root = 0):
+   the last keys of the nodes one level down, i.e. their boundaries. *)
+module SMap = Map.Make (String)
+
+let deep_base =
+  lazy
+    (let rng = Prng.create 14L in
+     let bs =
+       List.init 24_000 (fun i ->
+           ( Printf.sprintf "key-%06d" i,
+             Printf.sprintf "%016Lx%016Lx%08x" (Prng.next_int64 rng)
+               (Prng.next_int64 rng) (Prng.next_int rng 0x3fffffff) ))
+     in
+     let store = Mem_store.create () in
+     let t = Pmap.of_bindings store bs in
+     let index_entries h =
+       match Store.get store h with
+       | Some c when c.Chunk.kind = Chunk.Index ->
+         Some
+           (Codec.of_string_exn
+              (fun r ->
+                Codec.read_list r (fun r ->
+                    let split = Codec.read_bytes r in
+                    let child = Codec.read_hash r in
+                    ignore (Codec.read_varint r);
+                    (split, child)))
+              c.Chunk.payload)
+       | _ -> None
+     in
+     let rec levels hs acc =
+       match List.filter_map index_entries hs with
+       | [] -> List.rev acc
+       | nodes ->
+         let ies = List.concat nodes in
+         levels (List.map snd ies) (Array.of_list (List.map fst ies) :: acc)
+     in
+     let model =
+       List.fold_left (fun m (k, v) -> SMap.add k v m) SMap.empty bs
+     in
+     ( store, t, model,
+       Array.of_list (List.map fst bs),
+       Array.of_list (levels (Option.to_list (Pmap.root t)) []) ))
+
+(* One edit batch, drawn from [seed], mixing up to three of: edits at,
+   just before and just after node boundaries of a random level; removal
+   of one to three whole leaves; keys before the minimum and after the
+   maximum; edits spread over the whole key space (several level-1
+   nodes); and mass removal down to a small window, which shrinks the
+   height (sometimes to a single leaf or an empty tree). *)
+let deep_batch keys splits seed =
+  let rng = Prng.create (Int64.of_int seed) in
+  let n = Array.length keys in
+  let int bound = Prng.next_int rng bound in
+  let value () = Printf.sprintf "v%d" (int 1_000_000) in
+  let put k = Pmap.Put (Pmap.binding k (value ())) in
+  let index_of k = int_of_string (String.sub k 4 6) in
+  let near_boundary () =
+    let level = splits.(int (Array.length splits)) in
+    let k = level.(int (Array.length level)) in
+    let i = index_of k in
+    match int 5 with
+    | 0 -> put k
+    | 1 -> Pmap.Remove k
+    | 2 -> put (k ^ "+")
+    | 3 -> put (keys.(max 0 (i - 1)) ^ "+")
+    | _ -> Pmap.Remove keys.(min (n - 1) (i + 1))
+  in
+  let whole_leaves () =
+    let leaves = splits.(Array.length splits - 1) in
+    let j = int (Array.length leaves) in
+    let first = if j = 0 then 0 else index_of leaves.(j - 1) + 1 in
+    let last = index_of leaves.(min (Array.length leaves - 1) (j + int 3)) in
+    List.init (last - first + 1) (fun d -> Pmap.Remove keys.(first + d))
+  in
+  let shape () =
+    match int 5 with
+    | 0 -> List.init (1 + int 8) (fun _ -> near_boundary ())
+    | 1 -> whole_leaves ()
+    | 2 ->
+      [ put (Printf.sprintf "a-%d" (int 100)); put "key-";
+        put (Printf.sprintf "zzz-%d" (int 100)); put (keys.(n - 1) ^ "+");
+        (if int 2 = 0 then Pmap.Remove keys.(0) else put keys.(n - 1)) ]
+    | 3 ->
+      List.init (5 + int 60) (fun _ ->
+          let k = keys.(int n) in
+          match int 3 with 0 -> put k | 1 -> Pmap.Remove k | _ -> put (k ^ "-"))
+    | _ ->
+      let keep = int 300 in
+      let lo = int (n - keep) in
+      List.filter_map
+        (fun i ->
+          if i >= lo && i < lo + keep then None
+          else Some (Pmap.Remove keys.(i)))
+        (List.init n Fun.id)
+  in
+  List.concat (List.init (1 + int 3) (fun _ -> shape ()))
+
+let deep_update_case seed =
+  let store, base, model, keys, splits = Lazy.force deep_base in
+  let edits = deep_batch keys splits seed in
+  let known = Hashtbl.create 1024 in
+  store.Store.iter (fun h _ -> Hashtbl.replace known h ());
+  let t = Pmap.update base edits in
+  (* Nothing stored but the new tree's nodes: no wrapper left over from
+     a shrinking height reaches the store. *)
+  let reachable = Pmap.node_hashes t in
+  let stray = ref 0 in
+  store.Store.iter (fun h _ ->
+      if not (Hashtbl.mem known h || List.exists (Hash.equal h) reachable)
+      then incr stray);
+  let model =
+    List.fold_left
+      (fun m -> function
+        | Pmap.Put b -> SMap.add b.Pmap.key b.Pmap.value m
+        | Pmap.Remove k -> SMap.remove k m)
+      model edits
+  in
+  Pmap.height base = 4
+  && same_root t (Pmap.of_bindings store (SMap.bindings model))
+  && Pmap.validate t = Ok ()
+  && !stray = 0
+
 (* ---------------- qcheck properties ---------------- *)
 
 let qcheck_cases =
@@ -708,17 +907,23 @@ let qcheck_cases =
     Test.make ~name:"pos-tree: insertion order invariance" ~count:40 kv_list
       (fun bs ->
         let store = Mem_store.create () in
+        (* Keep each key's last binding, in input order, so the reversed
+           incremental inserts mean the same map as the bulk build. *)
+        let seen = Hashtbl.create 16 in
+        let bs =
+          List.fold_left
+            (fun acc (k, v) ->
+              if Hashtbl.mem seen k then acc
+              else (Hashtbl.add seen k (); (k, v) :: acc))
+            [] (List.rev bs)
+        in
         let t1 = Pmap.of_bindings store bs in
         let t2 =
           List.fold_left
             (fun t (k, v) -> Pmap.put t k v)
             (Pmap.empty store) (List.rev bs)
         in
-        (* Reverse-order incremental insert; duplicates make last-wins differ,
-           so skip those inputs. *)
-        let keys = List.map fst bs in
-        List.length (List.sort_uniq compare keys) <> List.length keys
-        || Option.equal Hash.equal (Pmap.root t1) (Pmap.root t2));
+        same_root t1 t2);
     Test.make ~name:"pos-tree: update = rebuild" ~count:40
       (pair kv_list kv_list)
       (fun (bs, edits) ->
@@ -815,7 +1020,9 @@ let qcheck_cases =
           | Pmap.Removed e -> Pmap.Added e
           | Pmap.Modified (a, b) -> Pmap.Modified (b, a)
         in
-        Pmap.diff t2 t1 = List.map flip (Pmap.diff t1 t2))
+        Pmap.diff t2 t1 = List.map flip (Pmap.diff t1 t2));
+    Test.make ~name:"pos-tree: update = rebuild at every level (4-level base)"
+      ~count:40 small_nat deep_update_case
   ]
 
 let suite =
@@ -833,6 +1040,7 @@ let suite =
       Alcotest.test_case "update from empty" `Quick test_update_from_empty;
       Alcotest.test_case "update localized writes" `Slow
         test_update_localized_writes;
+      Alcotest.test_case "update work bound" `Slow test_update_work_bound;
       Alcotest.test_case "to_seq lazy" `Quick test_to_seq_lazy;
       Alcotest.test_case "build_sorted_seq" `Quick test_build_sorted_seq;
       Alcotest.test_case "range queries" `Quick test_range_queries;
@@ -850,6 +1058,7 @@ let suite =
       Alcotest.test_case "diff prunes shared subtrees" `Slow
         test_diff_prunes_shared_subtrees;
       Alcotest.test_case "diff disjoint trees" `Quick test_diff_disjoint_trees;
+      Alcotest.test_case "diff across stores" `Quick test_diff_across_stores;
       Alcotest.test_case "merge disjoint" `Quick test_merge_disjoint;
       Alcotest.test_case "merge identical edits" `Quick
         test_merge_identical_edits;
