@@ -1,6 +1,6 @@
 # Convenience entry points; dune is the real build system.
 
-.PHONY: all build test bench bench-micro bench-hotpath bench-net bench-durability bench-obs bench-sync bench-cluster check clean
+.PHONY: all build test loc bench bench-micro bench-hotpath bench-net bench-durability bench-obs bench-sync bench-cluster check clean
 
 all: build
 
@@ -9,6 +9,16 @@ build:
 
 test:
 	dune runtest
+
+# Source size: `wc -l` over the git-tracked files under lib/ bench/ test/
+# bin/, per directory and in total.  The line targets in ROADMAP.md are
+# counted this way.
+loc:
+	@for d in lib bench test bin; do \
+	  printf '%7d %s\n' $$(git ls-files -z $$d | xargs -0 cat | wc -l) $$d; \
+	done
+	@printf '%7d total\n' \
+	  $$(git ls-files -z lib bench test bin | xargs -0 cat | wc -l)
 
 bench:
 	dune exec bench/main.exe

@@ -4,9 +4,10 @@
      dune exec bench/main.exe            -- run everything
      dune exec bench/main.exe -- fig4    -- run one experiment
      experiments: table1 fig2 fig3 fig4 fig5 fig6 siri ablation storage
-     resilience sharded cluster obs micro hotpath net net-scaling
-     net-c10k durability
-     (cluster and the last four also have sub-second -quick variants)
+     resilience cluster obs micro hotpath net net-scaling net-c10k
+     durability sync
+     (every experiment from cluster on except micro also has a
+     sub-second -quick variant)
 
    Absolute numbers are machine-dependent; the reproduced artifact is the
    *shape*: who wins, by what factor, and how quantities scale.
@@ -838,80 +839,25 @@ let run_resilience () =
   let paranoid, _ = Fb_chunk.Verified_store.wrap (Mem_store.create ()) in
   let p = bench "mem + verified every read (paranoid)" paranoid in
   (* The deployable stack: first-read verification below (media-fault
-     threat model — a healthy chunk is immutable), retry + replica
-     fallback above ([~verify_reads:false]: the inner wrapper hashes). *)
+     threat model — a healthy chunk is immutable), and above it the one
+     retry + replica fallback path, a primary and a replica as a
+     two-member cluster at W=2 (which re-hashes what it serves). *)
   let inner, _ = Fb_chunk.Verified_store.wrap ~once:true (Mem_store.create ()) in
-  let stack, _ =
-    Fb_chunk.Resilient_store.wrap ~replica:(Mem_store.create ())
-      ~verify_reads:false inner
+  let cluster =
+    Fb_chunk.Cluster_store.create
+      ~members:[ ("primary", inner); ("replica", Mem_store.create ()) ]
+      ()
   in
-  let r = bench "mem + verified-once + resilient" stack in
+  let r =
+    bench "mem + verified-once + 2-member Cluster_store"
+      (Fb_chunk.Cluster_store.store cluster)
+  in
+  Fb_chunk.Cluster_store.close cluster;
   let pct x = 100.0 *. (x -. bare) /. bare in
   Printf.printf
     "\nclean-path overhead vs bare: paranoid %+.1f%%; verified-once + \
-     resilient %+.1f%% (target < 15%%)\n"
+     2-member cluster %+.1f%% (target < 15%%)\n"
     (pct p) (pct r)
-
-(* ------------------------------------------------------------------ *)
-(* Sharded: ForkBase on the in-process sharded/replicated store (the  *)
-(* simulated distributed deployment; DESIGN.md substitutions).  The   *)
-(* real multi-node deployment is the `cluster` experiment below.      *)
-(* ------------------------------------------------------------------ *)
-
-let run_sharded () =
-  header
-    "SHARDED: ForkBase over an in-process sharded, replicated chunk store\n\
-     (5 members, replication factor 2, consistent-hash placement)";
-  let members =
-    List.init 5 (fun i -> (Printf.sprintf "node%d" i, Mem_store.create ()))
-  in
-  let cluster = Fb_chunk.Sharded_store.create ~replicas:2 ~members () in
-  let store = Fb_chunk.Sharded_store.store cluster in
-  let fb = FB.create store in
-  let csv = Csvgen.generate_of_size ~target_bytes:500_000 () in
-  let _, load_ms =
-    time_ms (fun () -> ignore (ok_fb (FB.import_csv fb ~key:"ds" csv)))
-  in
-  let tip = ok_fb (FB.head fb ~key:"ds") in
-  Printf.printf "loaded %.0f KB in %.0f ms; placement:\n"
-    (kb (String.length csv)) load_ms;
-  let healths = Fb_chunk.Sharded_store.health cluster in
-  let total_chunks = List.fold_left (fun a h -> a + h.Fb_chunk.Sharded_store.chunks) 0 healths in
-  List.iter
-    (fun h ->
-      Printf.printf "  %-7s %5d chunks (%4.1f%%)  %7.1f KB\n"
-        h.Fb_chunk.Sharded_store.member h.Fb_chunk.Sharded_store.chunks
-        (100.0 *. float_of_int h.Fb_chunk.Sharded_store.chunks
-         /. float_of_int total_chunks)
-        (kb h.Fb_chunk.Sharded_store.bytes))
-    healths;
-  let agg = Store.stats store in
-  Printf.printf
-    "logical (distinct chunks): %.1f KB; stored with 2x replication: %.1f \
-     KB\n"
-    (kb agg.Store.physical_bytes)
-    (kb (List.fold_left (fun a h -> a + h.Fb_chunk.Sharded_store.bytes) 0 healths));
-  (* Failure: lose a member mid-flight; reads fail over transparently. *)
-  Fb_chunk.Sharded_store.set_down cluster "node2" true;
-  let report, verify_ms =
-    time_ms (fun () -> ok_fb (FB.verify ~check_history_values:true fb tip))
-  in
-  let rs = Fb_chunk.Sharded_store.repair_stats cluster in
-  Printf.printf
-    "\nnode2 down: full verification still passes (%d chunks, %.0f ms), %d \
-     reads served by fallback replicas\n"
-    report.Fb_repr.Verify.value_chunks verify_ms
-    rs.Fb_chunk.Sharded_store.fallback_reads;
-  (* Writes continue during the outage; rebalance heals afterwards. *)
-  ignore (ok_fb (FB.import_csv fb ~key:"ds" (Edits.change_one_word csv)));
-  Fb_chunk.Sharded_store.set_down cluster "node2" false;
-  let copies, heal_ms =
-    time_ms (fun () -> Fb_chunk.Sharded_store.rebalance cluster)
-  in
-  Printf.printf
-    "outage writes accepted; rebalance restored %d replica copies in %.0f \
-     ms\n"
-    copies heal_ms
 
 (* ------------------------------------------------------------------ *)
 (* Cluster: the real multi-node deployment — chunks routed over TCP   *)
@@ -2615,7 +2561,6 @@ let experiments =
     ("ablation", run_ablation);
     ("storage", run_storage);
     ("resilience", run_resilience);
-    ("sharded", run_sharded);
     ("cluster", fun () -> run_cluster_net ());
     ("cluster-quick", fun () -> run_cluster_net ~quick:true ());
     ("obs", fun () -> run_obs ());

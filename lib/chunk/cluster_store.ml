@@ -210,10 +210,21 @@ let owners t id = List.map (fun m -> m.m_name) (owner_states t id)
 
 (* -------------------------- fault discipline -------------------------- *)
 
+(* Exponent capped so the shift cannot overflow and one retry cannot
+   sleep past [max_backoff_s]; [jitter] (a uniform draw in [0,1)) scales
+   the delay into [0.5x, 1.5x) so a fleet of routers hitting the same
+   fault does not retry in lockstep. *)
+let max_exponent = 16
+
+let backoff_duration ?(max_backoff_s = 1.0) ~backoff_s ~jitter attempt =
+  let e = min (max attempt 0) max_exponent in
+  let d = backoff_s *. float_of_int (1 lsl e) *. (0.5 +. jitter) in
+  Float.min d max_backoff_s
+
 (* Run [f] against one member, absorbing [Store.Transient] with bounded
-   jittered exponential backoff (Resilient_store's schedule).  Exhausted
-   retries return the last Transient as an [Error]; permanent exceptions
-   propagate to the caller. *)
+   jittered exponential backoff.  Exhausted retries return the last
+   Transient as an [Error]; permanent exceptions propagate to the
+   caller. *)
 let with_retries t f =
   let rec go attempt =
     match f () with
@@ -223,7 +234,7 @@ let with_retries t f =
       else begin
         if t.backoff_s > 0. then
           Thread.delay
-            (Resilient_store.backoff_duration ~backoff_s:t.backoff_s
+            (backoff_duration ~backoff_s:t.backoff_s
                ~jitter:(Fb_hash.Prng.next_float t.prng)
                attempt);
         go (attempt + 1)
@@ -278,20 +289,30 @@ let put_impl t chunk =
 
 (* Walk owners in preference order.  [repair] controls whether a late
    success re-puts the bytes into earlier failures (get path yes, peek
-   path no); [count] controls the gets counter. *)
+   path no); [count] controls the gets counter.  An owner that says the
+   chunk is absent, or serves bytes that fail the hash check, has
+   answered; one that is down or runs out of retries has not.  When no
+   owner answered, the chunk's absence is unknown, not established, so
+   the read raises [Store.Transient] instead of returning [None]. *)
 let read_impl t ~repair ~count id =
   if count then bump_agg t ~f:(fun s -> { s with Store.gets = s.Store.gets + 1 });
   let owner_list = owner_states t id in
-  let rec try_owners tried = function
+  let rec try_owners tried answered = function
     | [] ->
-      if tried <> [] && count then
-        Mutex.protect t.lock (fun () -> t.unavailable <- t.unavailable + 1);
+      if not answered then begin
+        if count then
+          Mutex.protect t.lock (fun () -> t.unavailable <- t.unavailable + 1);
+        raise
+          (Store.Transient
+             (Printf.sprintf "cluster %s: no owner of %s answered" t.name
+                (Hash.to_hex id)))
+      end;
       None
     | m :: rest ->
       let skipped () = if count then m.m_failovers <- m.m_failovers + 1 in
       if not m.m_up then begin
         skipped ();
-        try_owners (m :: tried) rest
+        try_owners (m :: tried) answered rest
       end
       else begin
         let reader () =
@@ -301,10 +322,10 @@ let read_impl t ~repair ~count id =
         match with_retries t reader with
         | Error _ ->
           skipped ();
-          try_owners (m :: tried) rest
+          try_owners (m :: tried) answered rest
         | Ok None ->
           skipped ();
-          try_owners (m :: tried) rest
+          try_owners (m :: tried) true rest
         | Ok (Some raw) ->
           if Hash.equal (Hash.of_string raw) id then begin
             if tried <> [] && repair then begin
@@ -339,11 +360,11 @@ let read_impl t ~repair ~count id =
             Mutex.protect t.lock (fun () -> t.rejected <- t.rejected + 1);
             skipped ();
             (try ignore (m.m_store.Store.delete id) with _ -> ());
-            try_owners (m :: tried) rest
+            try_owners (m :: tried) true rest
           end
       end
   in
-  try_owners [] owner_list
+  try_owners [] false owner_list
 
 let iter_impl t f =
   let members, _ = snapshot t in

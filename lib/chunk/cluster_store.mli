@@ -20,12 +20,19 @@
     {!owner_ranks} are exposed so tests can check routing determinism
     and the rebalance delta independently of any live cluster.
 
-    Fault discipline (mirrors {!Resilient_store}): {!Store.Transient}
-    from a member is retried [max_retries] times with jittered
-    exponential backoff against that member, then the next owner is
-    tried; a put that reaches {e no} owner raises {!Store.Transient}
-    (the write cannot be placed); permanent refusals (corrupt bytes) are
-    never retried against the same member.
+    Fault discipline: {!Store.Transient} from a member is retried
+    [max_retries] times with jittered exponential backoff
+    ({!backoff_duration}) against that member, then the next owner is
+    tried; so one read sleeps at most [max_retries] capped backoffs per
+    owner.  A put that reaches {e no} owner raises {!Store.Transient}
+    (the write cannot be placed), and so does a read that {e no} owner
+    answered: an owner that reports the chunk absent, or serves bytes
+    that fail the hash check, has answered, and the read then returns
+    [None]; an owner that is down or runs out of retries has not.
+    Corrupt bytes are never re-read from the same member: the copy is
+    dropped and the next owner is tried.  Cluster_store is the only
+    replication, failover and repair path: a primary with one replica
+    is a two-member cluster at [replicas = 2].
 
     Per-node outcomes are exported as observability gauges
     [cluster.<name>.node.<i>.{up,puts,failovers,repairs}]. *)
@@ -45,6 +52,16 @@ val owner_ranks :
 (** The first [replicas] {e distinct} member indices clockwise from the
     id's ring position, preference order.  Deterministic in (id, ring)
     only. *)
+
+(** {1 Retry schedule} *)
+
+val backoff_duration :
+  ?max_backoff_s:float -> backoff_s:float -> jitter:float -> int -> float
+(** [backoff_duration ~backoff_s ~jitter attempt] is the pre-retry sleep
+    for the given (0-based) attempt: [backoff_s * 2^min(attempt, 16) *
+    (0.5 + jitter)], capped at [max_backoff_s] (default [1.0]).  [jitter]
+    is a uniform draw in [\[0, 1)]; the exponent cap keeps the shift from
+    overflowing on large attempt counts.  Exposed for tests. *)
 
 (** {1 Cluster lifecycle} *)
 
@@ -114,7 +131,7 @@ type cluster_stats = {
   repaired : int;        (** read-repair copies written, total *)
   rejected : int;        (** replica reads refused by the hash check *)
   under_replicated : int;(** puts acknowledged by fewer than W owners *)
-  unavailable : int;     (** ops that found no live owner at all *)
+  unavailable : int;     (** ops that no owner answered at all *)
 }
 
 val node_stats : t -> node_stats list

@@ -29,17 +29,6 @@ let register_cache ?(prefix = "fb_cache") (cs : Cache_store.cache_stats) =
       float_of_int cs.Cache_store.evictions);
   Obs.gauge (prefix ^ ".hit_ratio") (fun () -> Cache_store.hit_ratio cs)
 
-let register_resilient ?(prefix = "fb_resilient")
-    (rs : Resilient_store.stats) =
-  let stat f read = Obs.gauge (prefix ^ f) (fun () -> float_of_int (read ())) in
-  stat ".retries" (fun () -> rs.Resilient_store.retries);
-  stat ".absorbed" (fun () -> rs.Resilient_store.absorbed);
-  stat ".gave_up" (fun () -> rs.Resilient_store.gave_up);
-  stat ".fallback_reads" (fun () -> rs.Resilient_store.fallback_reads);
-  stat ".heals" (fun () -> rs.Resilient_store.heals);
-  stat ".corrupt_rejected" (fun () -> rs.Resilient_store.corrupt_rejected);
-  stat ".unrecovered" (fun () -> rs.Resilient_store.unrecovered)
-
 let wrap ?(prefix = "fb_store") (inner : Store.t) =
   register_store_stats ~prefix inner;
   let h_put = Obs.histogram (prefix ^ ".put_seconds") in

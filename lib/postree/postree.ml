@@ -174,11 +174,34 @@ module Make (E : ENTRY) = struct
     Chunker.finish ch;
     List.rev !out
 
+  (* An index entry ends a node it starts, whatever child it names, when
+     its split key alone fires the pattern or the entry alone fills a
+     node. *)
+  let cuts_alone ie =
+    String.length (Codec.to_string encode_index_entry ie) >= max_node_bytes
+    || Rolling.feed_string (Rolling.create params)
+         (Codec.to_string E.encode_key ie.split)
+
+  (* The termination rule.  Chunking a row whose entries all cut alone,
+     save the last, gives one node per entry, and the row above it has the
+     same split keys again: collapsing would never reach a single node.
+     Such a row is {e stuck}, and one root node holds all of it.  A row
+     that collapses at all is never stuck, so every tree that a plain
+     climb finishes keeps its shape.  [build_up], [update] and [validate]
+     all apply this one rule. *)
+  let stuck row =
+    let rec cut_but_last = function
+      | [] | [ _ ] -> true
+      | ie :: rest -> cuts_alone ie && cut_but_last rest
+    in
+    match row with [] | [ _ ] -> false | _ -> cut_but_last row
+
   (* Collapse rows upward until a single node remains. *)
   let rec build_up put row =
     match row with
     | [] -> None
     | [ ie ] -> Some ie.child
+    | _ when stuck row -> Some (put (index_chunk row))
     | _ -> build_up put (chunk_level index_level put row)
 
   let sort_dedup_entries entries =
@@ -634,19 +657,29 @@ module Make (E : ENTRY) = struct
               if level <= upto then ignore (Store.put store chunk))
             (List.rev !pending)
         in
+        let node_of h =
+          match
+            List.find_opt (fun (_, c, _) -> Hash.equal (Chunk.hash c) h) !pending
+          with
+          | Some (_, _, node) -> node
+          | None -> read_node store h
+        in
         let rec unwrap level h =
-          let node =
-            match
-              List.find_opt
-                (fun (_, c, _) -> Hash.equal (Chunk.hash c) h)
-                !pending
-            with
-            | Some (_, _, node) -> node
-            | None -> read_node store h
-          in
-          match node with
+          match node_of h with
           | Index [ ie ] -> unwrap (level - 1) ie.child
           | Leaf _ | Index _ -> (level, h)
+        in
+        (* A stuck row above level 1 sits on one-entry nodes whose entries
+           form the row below; the lowest stuck row is the new top row. *)
+        let rec lowest_stuck level row =
+          let below =
+            if level = 1 then []
+            else
+              List.concat_map
+                (fun ie -> index_level.items_of ie.child (node_of ie.child))
+                row
+          in
+          if stuck below then lowest_stuck (level - 1) below else (level, row)
         in
         let rec climb level spans =
           match List.filter (fun (o, n) -> not (same_nodes o n)) spans with
@@ -661,6 +694,11 @@ module Make (E : ENTRY) = struct
               let level, h = unwrap top ie.child in
               flush level;
               { t with root = Some h }
+            | row when stuck row ->
+              let level, row = lowest_stuck (top + 1) row in
+              flush (level - 1);
+              let root = Store.put store (hashed (index_chunk row)) in
+              { t with root = Some root }
             | _ ->
               flush top;
               let put chunk = Store.put store (hashed chunk) in
@@ -1085,10 +1123,13 @@ module Make (E : ENTRY) = struct
              | Index [], _ -> err "empty index node %s" (Hash.to_hex h)
              | Index ies, _ ->
                let* () =
-                 check_boundary ~is_last ~node_bytes
-                   (List.map (fun ie -> Codec.to_string encode_index_entry ie)
-                      ies)
-                   h
+                 if depth = 1 && stuck ies then Ok ()
+                 else
+                   check_boundary ~is_last ~node_bytes
+                     (List.map
+                        (fun ie -> Codec.to_string encode_index_entry ie)
+                        ies)
+                     h
                in
                (* Split keys and counts are validated against children after
                   the whole level is assembled. *)
@@ -1097,6 +1138,9 @@ module Make (E : ENTRY) = struct
         let* children, _last = per_node hashes prev_key [] in
         (match children with
          | [] -> Ok () (* leaf level: done *)
+         | ies when List.compare_length_with hashes 1 > 0 && stuck ies ->
+           err "stuck row of %d entries below the root at depth %d"
+             (List.length ies) depth
          | ies ->
            (* Validate each child's count and split key. *)
            let* () =

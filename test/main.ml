@@ -10,7 +10,6 @@ let () =
       ("core", Test_core.suite);
       ("dataset", Test_dataset.suite);
       ("service", Test_service.suite);
-      ("sharded", Test_sharded.suite);
       ("pack", Test_pack.suite);
       ("index", Test_index.suite);
       ("proof", Test_proof.suite);
@@ -28,5 +27,6 @@ let () =
       ("rwlock", Test_rwlock.suite);
       ("net", Test_net.suite);
       ("cluster", Test_cluster.suite);
+      ("sharded", Test_cluster.sharded_suite);
       ("pipeline", Test_pipeline.suite);
       ("sync", Test_sync.suite) ]

@@ -216,12 +216,62 @@ let test_transient_members_retry () =
 
 let test_unavailable_put () =
   let c, store, _ = mk_cluster () in
+  let id = Store.put store (blob 1) in
+  (* Every owner answering "absent" is an answer: the read is a miss. *)
+  check bool_ "answered miss" true (Store.get store (Chunk.hash (blob 2)) = None);
   List.iter (fun n -> Cluster.set_down c n true) (Cluster.members c);
   (match Store.put store (blob 0) with
   | (_ : Hash.t) -> Alcotest.fail "put succeeded with every member down"
   | exception Store.Transient _ -> ());
-  check bool_ "unavailable counted" true
-    ((Cluster.cluster_stats c).Cluster.unavailable >= 1);
+  (* No owner answered: absence is unknown, so the read is Transient. *)
+  (match Store.get store id with
+  | _ -> Alcotest.fail "read answered with every member down"
+  | exception Store.Transient _ -> ());
+  check int_ "unavailable counted" 2
+    (Cluster.cluster_stats c).Cluster.unavailable;
+  Cluster.close c
+
+let test_parameter_validation () =
+  Alcotest.check_raises "no members"
+    (Invalid_argument "Cluster_store.create: no members") (fun () ->
+      ignore (Cluster.create ~members:[] ()));
+  let c, _, _ = mk_cluster () in
+  Alcotest.check_raises "unknown member"
+    (Invalid_argument "Cluster_store.set_down: unknown member ghost")
+    (fun () -> Cluster.set_down c "ghost" true);
+  Cluster.close c
+
+let test_replicas_exceed_members () =
+  let c =
+    Cluster.create ~replicas:5 ~members:[ ("only", Mem_store.create ()) ] ()
+  in
+  let store = Cluster.store c in
+  let id = Store.put store (blob 0) in
+  (* Replicas clamp to the member count: one copy, still readable. *)
+  check int_ "clamped" 1 (Cluster.replicas c);
+  check int_ "one owner" 1 (List.length (Cluster.owners c id));
+  check bool_ "readable" true (Store.get store id <> None);
+  Cluster.close c
+
+let test_forkbase_on_cluster () =
+  (* The whole engine runs unmodified on a 5-member cluster at W=3. *)
+  let c, store, _ = mk_cluster ~n:5 ~replicas:3 () in
+  let fb = FB.create store in
+  ignore (ok_fb (FB.import_csv fb ~key:"ds" "id,v\n1,a\n2,b\n3,c\n"));
+  ignore (ok_fb (FB.fork fb ~key:"ds" ~new_branch:"dev"));
+  ignore
+    (ok_fb (FB.import_csv fb ~key:"ds" ~branch:"dev" "id,v\n1,a\n2,B\n3,c\n"));
+  ignore (ok_fb (FB.merge fb ~key:"ds" ~into:"master" ~from_branch:"dev"));
+  let tip = ok_fb (FB.head fb ~key:"ds") in
+  check bool_ "verifies on cluster" true
+    (Result.is_ok (FB.verify ~check_history_values:true fb tip));
+  (* Any two members down: with W=3 every chunk keeps a live owner. *)
+  Cluster.set_down c "node0" true;
+  Cluster.set_down c "node3" true;
+  check bool_ "verifies with 2 members down" true
+    (Result.is_ok (FB.verify ~check_history_values:true fb tip));
+  check bool_ "still queryable" true
+    (Result.is_ok (FB.export_csv fb ~key:"ds"));
   Cluster.close c
 
 (* ---------------- rebalance ---------------- *)
@@ -258,6 +308,118 @@ let test_rebalance_moves_only_delta () =
     (fun id ->
       check bool_ "readable post-rebalance" true (Store.mem store id))
     ids;
+  Cluster.close c
+
+let test_write_around_down_then_rebalance () =
+  let c, store, members = mk_cluster ~n:4 () in
+  let n = 100 in
+  (* Writes made with a member down land on its co-owners only. *)
+  Cluster.set_down c "node1" true;
+  let ids = List.init n (fun i -> Store.put store (blob (1000 + i))) in
+  List.iter
+    (fun id -> check bool_ "written and readable" true (Store.mem store id))
+    ids;
+  check bool_ "under-replicated puts counted" true
+    ((Cluster.cluster_stats c).Cluster.under_replicated > 0);
+  (* Back up: rebalance copies exactly the missing replicas. *)
+  Cluster.set_down c "node1" false;
+  let report = Cluster.rebalance c in
+  check bool_ "rebalance copied" true (report.Cluster.moved_chunks > 0);
+  let copies =
+    List.fold_left
+      (fun acc (_, s, _) ->
+        acc + List.length (List.filter (fun id -> s.Store.mem id) ids))
+      0 members
+  in
+  check int_ "full replication restored" (2 * n) copies;
+  Cluster.close c
+
+(* ---------------- hash-sharded placement, 4 members at W=2 ---------------- *)
+
+let total_copies c =
+  List.fold_left (fun a m -> a + m.Cluster.chunks) 0 (Cluster.node_stats c)
+
+let test_sharded_placement () =
+  let c, store, _ = mk_cluster ~n:4 () in
+  let ids = List.init 200 (fun i -> Store.put store (blob i)) in
+  List.iter
+    (fun id ->
+      check int_ "two owners" 2 (List.length (Cluster.owners c id));
+      check bool_ "readable" true (Store.mem store id))
+    ids;
+  (* Every chunk is stored twice, and the ring spreads the chunks over
+     every member. *)
+  check int_ "replication factor" (2 * 200) (total_copies c);
+  List.iter
+    (fun m ->
+      check bool_ (m.Cluster.node ^ " nonempty") true (m.Cluster.chunks > 0))
+    (Cluster.node_stats c);
+  Cluster.close c
+
+let test_sharded_owner_determinism () =
+  let c, store, _ = mk_cluster ~n:4 () in
+  let id = Store.put store (blob 1) in
+  check bool_ "stable owners" true (Cluster.owners c id = Cluster.owners c id);
+  (* Owners depend only on the member names, not on the stores or the
+     cluster handle: a second cluster over fresh stores agrees. *)
+  let c2, _, _ = mk_cluster ~n:4 () in
+  check bool_ "same owners on a twin cluster" true
+    (Cluster.owners c id = Cluster.owners c2 id);
+  Cluster.close c;
+  Cluster.close c2
+
+let test_sharded_failover_read () =
+  let c, store, _ = mk_cluster ~n:4 () in
+  let id = Store.put store (blob 7) in
+  (* Primary down: the read fails over to the second owner. *)
+  let primary, secondary =
+    match Cluster.owners c id with
+    | [ p; s ] -> (p, s)
+    | _ -> Alcotest.fail "expected two owners"
+  in
+  Cluster.set_down c primary true;
+  check bool_ "still readable" true (Store.get store id <> None);
+  check bool_ "fallback counted" true
+    ((Cluster.cluster_stats c).Cluster.failover_reads >= 1);
+  (* Both owners down: no owner can answer, so the read is Transient
+     (absence is unknown) until one returns. *)
+  Cluster.set_down c secondary true;
+  (match Store.get store id with
+  | _ -> Alcotest.fail "read answered with both owners down"
+  | exception Store.Transient _ -> ());
+  Cluster.set_down c primary false;
+  check bool_ "back up -> hit" true (Store.get store id <> None);
+  Cluster.close c
+
+let test_sharded_corrupt_repair () =
+  let c, store, members = mk_cluster ~n:4 () in
+  (* A malicious node0 rewrites the bytes of a chunk it owns first. *)
+  let chunk =
+    let rec go i =
+      let ch = blob (5000 + i) in
+      if List.hd (Cluster.owners c (Chunk.hash ch)) = "node0" then ch
+      else go (i + 1)
+    in
+    go 0
+  in
+  let id = Store.put store chunk in
+  let _, _, handle0 = List.hd members in
+  check bool_ "tampered" true
+    (Mem_store.tamper handle0 id ~f:(fun s -> s ^ "!"));
+  (* The read never returns the forged bytes: they are rejected and the
+     healthy replica answers. *)
+  (match Store.get store id with
+  | Some got -> check bool_ "payload intact" true (Hash.equal (Chunk.hash got) id)
+  | None -> Alcotest.fail "lost despite a good replica");
+  let cs = Cluster.cluster_stats c in
+  check bool_ "rejection counted" true (cs.Cluster.rejected >= 1);
+  check bool_ "repair counted" true (cs.Cluster.repaired >= 1);
+  (* Repaired: node0 serves the next read itself, with no failover. *)
+  (match Store.get store id with
+  | Some got -> check bool_ "still intact" true (Hash.equal (Chunk.hash got) id)
+  | None -> Alcotest.fail "lost after repair");
+  check int_ "no further failover" cs.Cluster.failover_reads
+    (Cluster.cluster_stats c).Cluster.failover_reads;
   Cluster.close c
 
 (* ---------------- store-provider registry ---------------- *)
@@ -547,8 +709,16 @@ let suite =
       test_transient_members_retry;
     Alcotest.test_case "no live owner -> Transient" `Quick
       test_unavailable_put;
+    Alcotest.test_case "parameter validation" `Quick
+      test_parameter_validation;
+    Alcotest.test_case "replicas exceed members" `Quick
+      test_replicas_exceed_members;
+    Alcotest.test_case "forkbase on a 5-member W=3 cluster" `Quick
+      test_forkbase_on_cluster;
     Alcotest.test_case "rebalance moves only the ring delta" `Quick
       test_rebalance_moves_only_delta;
+    Alcotest.test_case "down-member writes + rebalance" `Quick
+      test_write_around_down_then_rebalance;
     Alcotest.test_case "unknown backend is typed Invalid" `Quick
       test_provider_unknown_backend;
     Alcotest.test_case "backends interchangeable" `Quick
@@ -570,3 +740,12 @@ let suite =
       test_cluster_provider_end_to_end;
     Alcotest.test_case "push rides the bloom exchange" `Quick
       test_push_bloom_stats ]
+
+let sharded_suite =
+  [ Alcotest.test_case "placement and replication" `Quick
+      test_sharded_placement;
+    Alcotest.test_case "owner determinism" `Quick
+      test_sharded_owner_determinism;
+    Alcotest.test_case "failover read" `Quick test_sharded_failover_read;
+    Alcotest.test_case "corrupt replica repair" `Quick
+      test_sharded_corrupt_repair ]

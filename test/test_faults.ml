@@ -90,17 +90,36 @@ let test_faulty_crash_trigger () =
        (Hash.equal (Hash.of_string raw) torn_id)
    | None -> Alcotest.fail "torn chunk vanished")
 
-(* ---------------- resilient store ---------------- *)
+(* ---------------- replicated reads ---------------- *)
+
+(* A primary and its replica as a two-member cluster at W=2: every chunk
+   is written to both, and a read tries the chunk's first owner first. *)
+let pair ?(max_retries = 2) ?(backoff_s = 0.) primary replica =
+  let c =
+    Cluster_store.create ~max_retries ~backoff_s
+      ~members:[ ("primary", primary); ("replica", replica) ]
+      ()
+  in
+  (c, Cluster_store.store c)
+
+(* A chunk whose first owner is [member], found by trying payloads. *)
+let owned_first_by c member prefix =
+  let rec go i =
+    let chunk = Chunk.v Chunk.Leaf_blob (Printf.sprintf "%s %d" prefix i) in
+    if List.hd (Cluster_store.owners c (Chunk.hash chunk)) = member then chunk
+    else go (i + 1)
+  in
+  go 0
 
 let test_retry_absorbs_transients () =
-  let base = Mem_store.create () in
-  let faulty, _ =
+  let flaky seed =
     Faulty_store.wrap
-      { Faulty_store.calm with seed = 9L; transient_read_p = 0.5;
+      { Faulty_store.calm with seed; transient_read_p = 0.5;
         transient_put_p = 0.5 }
-      base
+      (Mem_store.create ())
   in
-  let store, rs = Resilient_store.wrap ~max_retries:40 faulty in
+  let primary, fp = flaky 9L and replica, fr = flaky 10L in
+  let c, store = pair ~max_retries:40 primary replica in
   let ids = List.init 30 (fun i -> (i, Store.put store (blob i))) in
   List.iter
     (fun (i, id) ->
@@ -110,21 +129,27 @@ let test_retry_absorbs_transients () =
           (String.equal c.Chunk.payload (Printf.sprintf "payload %d" i))
       | None -> Alcotest.fail "retried read lost a chunk")
     ids;
-  check bool_ "retries happened" true (rs.Resilient_store.retries > 0);
-  check bool_ "ops recovered" true (rs.Resilient_store.absorbed > 0);
-  check int_ "nothing gave up" 0 rs.Resilient_store.gave_up
+  check bool_ "faults happened" true
+    (Faulty_store.total_faults fp > 0 && Faulty_store.total_faults fr > 0);
+  (* Retries absorbed every fault: no put fell short of W, no read left
+     its first owner, nothing went unanswered. *)
+  let cs = Cluster_store.cluster_stats c in
+  check int_ "no short puts" 0 cs.Cluster_store.under_replicated;
+  check int_ "no failovers" 0 cs.Cluster_store.failover_reads;
+  check int_ "nothing gave up" 0 cs.Cluster_store.unavailable;
+  Cluster_store.close c
 
-(* Bit flips on the read path are rejected and re-read, never served.
-   Three seeds, per the acceptance bar. *)
+(* Bit flips on the read path are rejected by the hash check, never
+   served; the replica answers instead.  Three seeds. *)
 let test_bit_flips_never_served () =
   List.iter
     (fun seed ->
-      let base = Mem_store.create () in
-      let faulty, _ =
+      let primary, _ =
         Faulty_store.wrap
-          { Faulty_store.calm with seed; bit_flip_p = 0.3 } base
+          { Faulty_store.calm with seed; bit_flip_p = 0.3 }
+          (Mem_store.create ())
       in
-      let store, rs = Resilient_store.wrap ~max_retries:30 faulty in
+      let c, store = pair primary (Mem_store.create ()) in
       let ids = List.init 40 (fun i -> (i, Store.put store (blob i))) in
       List.iter
         (fun (i, id) ->
@@ -140,54 +165,67 @@ let test_bit_flips_never_served () =
           | None -> Alcotest.fail "flip-rejected read not recovered")
         ids;
       check bool_ "flips were caught" true
-        (rs.Resilient_store.corrupt_rejected > 0))
+        ((Cluster_store.cluster_stats c).Cluster_store.rejected > 0);
+      Cluster_store.close c)
     [ 1L; 2L; 3L ]
 
 let test_read_repair_from_replica () =
-  let primary, handle = Mem_store.create_with_handle () in
-  let replica = Mem_store.create () in
-  let c = Chunk.v Chunk.Leaf_blob "precious" in
-  let id = Store.put primary c in
-  ignore (Store.put replica c);
+  let a, ha = Mem_store.create_with_handle () in
+  let b, hb = Mem_store.create_with_handle () in
+  let c, store = pair a b in
+  let id = Store.put store (Chunk.v Chunk.Leaf_blob "precious") in
+  let first, handle =
+    match Cluster_store.owners c id with
+    | "primary" :: _ -> (a, ha)
+    | _ -> (b, hb)
+  in
   check bool_ "tampered" true (Mem_store.tamper handle id ~f:(fun s -> "X" ^ s));
-  let store, rs = Resilient_store.wrap ~replica ~max_retries:2 primary in
   (match Store.get store id with
    | Some c' -> check bool_ "served from replica" true
        (String.equal c'.Chunk.payload "precious")
    | None -> Alcotest.fail "replica fallback failed");
-  check int_ "fallbacks" 1 rs.Resilient_store.fallback_reads;
-  check int_ "heals" 1 rs.Resilient_store.heals;
-  (* The primary now holds healthy bytes again: the next read is local. *)
-  (match primary.Store.get_raw id with
+  let cs = Cluster_store.cluster_stats c in
+  check int_ "fallbacks" 1 cs.Cluster_store.failover_reads;
+  check int_ "heals" 1 cs.Cluster_store.repaired;
+  (* The first owner holds healthy bytes again: the next read is local. *)
+  (match first.Store.get_raw id with
    | Some raw ->
-     check bool_ "primary healed" true (Hash.equal (Hash.of_string raw) id)
-   | None -> Alcotest.fail "healed chunk missing from primary");
+     check bool_ "first owner healed" true (Hash.equal (Hash.of_string raw) id)
+   | None -> Alcotest.fail "healed chunk missing from first owner");
   ignore (Store.get store id);
-  check int_ "no second fallback" 1 rs.Resilient_store.fallback_reads
+  check int_ "no second fallback" 1
+    (Cluster_store.cluster_stats c).Cluster_store.failover_reads;
+  Cluster_store.close c
 
 let test_torn_write_recovery () =
   let cfg = { Faulty_store.calm with seed = 7L; torn_write_p = 1.0 } in
-  (* With a replica: the mirrored put holds the healthy bytes, reads fall
-     back and stay correct. *)
+  (* With a healthy replica: the torn first owner is rejected, and the
+     read falls back and stays correct. *)
   let faulty, fc = Faulty_store.wrap cfg (Mem_store.create ()) in
-  let replica = Mem_store.create () in
-  let store, rs = Resilient_store.wrap ~replica ~max_retries:2 faulty in
-  let c = Chunk.v Chunk.Leaf_blob "torn victim" in
-  let id = Store.put store c in
+  let c, store = pair faulty (Mem_store.create ()) in
+  let chunk = owned_first_by c "primary" "torn victim" in
+  let id = Store.put store chunk in
   check int_ "write tore" 1 fc.Faulty_store.torn_writes;
   (match Store.get store id with
    | Some c' ->
      check bool_ "correct via replica" true
-       (String.equal c'.Chunk.payload "torn victim")
+       (String.equal c'.Chunk.payload chunk.Chunk.payload)
    | None -> Alcotest.fail "torn chunk not recovered");
-  check bool_ "fallback used" true (rs.Resilient_store.fallback_reads >= 1);
-  (* Without a replica: the damage is surfaced as absence, never served. *)
-  let faulty2, _ = Faulty_store.wrap cfg (Mem_store.create ()) in
-  let store2, rs2 = Resilient_store.wrap ~max_retries:2 faulty2 in
-  let id2 = Store.put store2 c in
+  check bool_ "fallback used" true
+    ((Cluster_store.cluster_stats c).Cluster_store.failover_reads >= 1);
+  Cluster_store.close c;
+  (* Both copies torn: the damage is surfaced as absence, never served. *)
+  let c2, store2 =
+    pair
+      (fst (Faulty_store.wrap cfg (Mem_store.create ())))
+      (fst (Faulty_store.wrap cfg (Mem_store.create ())))
+  in
+  let id2 = Store.put store2 chunk in
   check bool_ "unrecoverable torn read is None" true
     (Store.get store2 id2 = None);
-  check bool_ "counted unrecovered" true (rs2.Resilient_store.unrecovered >= 1)
+  check int_ "both copies rejected" 2
+    (Cluster_store.cluster_stats c2).Cluster_store.rejected;
+  Cluster_store.close c2
 
 (* A torn append keeps the declared length but the tail is garbage — the
    power-cut shape at the end of an append-only log.  Deterministic under
@@ -226,36 +264,51 @@ let test_torn_append_garbage_tail () =
    | Some a, Some b ->
      check bool_ "deterministic garbage" true (String.equal a b)
    | _ -> Alcotest.fail "torn bytes missing");
-  (* Resilient stack with a replica recovers; without one the damage
-     surfaces as absence, never as wrong bytes. *)
-  let faulty3, _ = Faulty_store.wrap cfg (Mem_store.create ()) in
-  let store3, rs3 = Resilient_store.wrap ~max_retries:2 faulty3 in
+  (* Both copies garbled: the damage surfaces as absence, never as wrong
+     bytes. *)
+  let c3, store3 =
+    pair
+      (fst (Faulty_store.wrap cfg (Mem_store.create ())))
+      (fst (Faulty_store.wrap cfg (Mem_store.create ())))
+  in
   let id3 = Store.put store3 c in
   check bool_ "unrecoverable garbled read is None" true
     (Store.get store3 id3 = None);
-  check bool_ "counted unrecovered" true
-    (rs3.Resilient_store.unrecovered >= 1)
+  check int_ "both copies rejected" 2
+    (Cluster_store.cluster_stats c3).Cluster_store.rejected;
+  Cluster_store.close c3
 
 (* ---------------- typed surfacing at the API ---------------- *)
 
+(* A member every read of which fails transiently; puts still land. *)
+let failing seed =
+  fst
+    (Faulty_store.wrap
+       { Faulty_store.calm with seed; transient_read_p = 1.0 }
+       (Mem_store.create ()))
+
 let test_api_surfaces_transient () =
-  let faulty, _ =
-    Faulty_store.wrap
-      { Faulty_store.calm with seed = 5L; transient_read_p = 1.0 }
-      (Mem_store.create ())
-  in
-  let store, _ = Resilient_store.wrap ~max_retries:0 faulty in
+  (* Every read of both members fails, with real backoff between
+     retries.  The write lands; the read must surface the typed error
+     (not "no such version") once each owner has used its retries. *)
+  let c, store = pair ~max_retries:3 ~backoff_s:0.01 (failing 5L) (failing 6L) in
   let fb = FB.create store in
-  (* Every read fails and retries are off: whichever operation first
-     touches the store must surface the typed error, never raise. *)
-  match FB.put fb ~key:"k" (Value.string "v") with
-  | Error (Errors.Transient _) -> ()
-  | Error e -> Alcotest.fail ("wrong error: " ^ Errors.to_string e)
-  | Ok _ -> (
-    match FB.get fb ~key:"k" with
-    | Error (Errors.Transient _) -> ()
-    | Error e -> Alcotest.fail ("wrong error: " ^ Errors.to_string e)
-    | Ok _ -> Alcotest.fail "read succeeded with every read failing")
+  (match FB.put fb ~key:"k" (Value.string "v") with
+   | Ok _ -> ()
+   | Error e -> Alcotest.fail ("put failed: " ^ Errors.to_string e));
+  let t0 = Unix.gettimeofday () in
+  (match FB.get fb ~key:"k" with
+   | Error (Errors.Transient _) -> ()
+   | Error e -> Alcotest.fail ("wrong error: " ^ Errors.to_string e)
+   | Ok _ -> Alcotest.fail "read succeeded with every read failing");
+  (* Sleep per read is bounded by owners x retries x one capped backoff:
+     2 x 3 x at most 60 ms here. *)
+  let elapsed = Unix.gettimeofday () -. t0 in
+  check bool_ (Printf.sprintf "bounded wait (%.3f s)" elapsed) true
+    (elapsed < 1.0);
+  check bool_ "unavailable counted" true
+    ((Cluster_store.cluster_stats c).Cluster_store.unavailable >= 1);
+  Cluster_store.close c
 
 (* Full API over a fault-injecting stack: seeds x fault kinds.  Every
    operation either succeeds with exactly the value written or returns a
@@ -284,9 +337,7 @@ let test_api_fault_matrix () =
           let ctx op = Printf.sprintf "%s seed=%Ld %s" kind seed op in
           let faulty, _ = Faulty_store.wrap (cfg seed) (Mem_store.create ()) in
           let replica = Mem_store.create () in
-          let store, _ =
-            Resilient_store.wrap ~replica ~max_retries:8 faulty
-          in
+          let c, store = pair ~max_retries:8 faulty replica in
           let fb = FB.create store in
           let expected : (string, string) Hashtbl.t = Hashtbl.create 8 in
           let typed_or op = function
@@ -319,9 +370,12 @@ let test_api_fault_matrix () =
           typed_or "log" (FB.log fb ~key:"k0");
           typed_or "fork" (FB.fork fb ~key:"k0" ~new_branch:"side");
           typed_or "head" (FB.head fb ~key:"k0");
-          (* Scrub with the replica, then every key must read back
-             correctly (the replica holds every mirrored chunk). *)
-          ignore (FB.scrub ~replica fb);
+          (* Scrub the faulty member against the replica, which holds
+             every chunk, then every key must read back correctly.  The
+             scrub runs per member: a delete through the cluster reaches
+             every replica, healthy ones included.  A transient fault
+             stops the scrub where it is; what it healed stays healed. *)
+          (try ignore (Scrub.run ~replica faulty) with Store.Transient _ -> ());
           Hashtbl.iter
             (fun key v ->
               match FB.get fb ~key with
@@ -331,7 +385,8 @@ let test_api_fault_matrix () =
               | Error (Errors.Transient _) -> ()
               | Error e ->
                 Alcotest.fail (ctx "post-scrub get" ^ ": " ^ Errors.to_string e))
-            expected)
+            expected;
+          Cluster_store.close c)
         kinds)
     [ 101L; 202L; 303L ]
 
@@ -600,7 +655,7 @@ let test_service_fsck_verbs () =
 (* ---------------- backoff caps ---------------- *)
 
 let test_backoff_duration () =
-  let d = Resilient_store.backoff_duration in
+  let d = Cluster_store.backoff_duration in
   (* Base schedule, no jitter: backoff_s * 2^attempt * 0.5. *)
   check (Alcotest.float 1e-9) "attempt 0" 0.005
     (d ~backoff_s:0.01 ~jitter:0.0 0);
@@ -626,25 +681,40 @@ let test_backoff_duration () =
     prev := v
   done
 
-let test_backoff_total_clamp () =
-  (* Every read fails: 10 retries at 50 ms doubling would sleep ~25 s
-     unbounded.  The lifetime budget clamps the whole ordeal. *)
-  let faulty, _ =
-    Faulty_store.wrap
-      { Faulty_store.calm with seed = 17L; transient_read_p = 1.0 }
-      (Mem_store.create ())
+let test_backoff_sleep_budget () =
+  (* Every read of both members fails.  Each read sleeps through each
+     owner's own retry schedule and no further, so the sleep a cluster
+     spends over its lifetime is reads x owners x one schedule: it grows
+     linearly with failing reads and never compounds. *)
+  let max_retries = 3 and backoff_s = 0.004 and reads = 5 in
+  let c, store = pair ~max_retries ~backoff_s (failing 17L) (failing 18L) in
+  let id = Store.put store (blob 0) in
+  let schedule ~jitter =
+    List.fold_left ( +. ) 0.0
+      (List.init max_retries (fun a ->
+           Cluster_store.backoff_duration ~backoff_s ~jitter a))
   in
-  let store, _ =
-    Resilient_store.wrap ~max_retries:10 ~backoff_s:0.05
-      ~max_total_backoff_s:0.05 faulty
-  in
-  let h = Store.put faulty (blob 0) in
+  let budget ~jitter = float_of_int (reads * 2) *. schedule ~jitter in
   let t0 = Unix.gettimeofday () in
-  (match Store.get store h with
-  | exception Store.Transient _ -> ()
-  | Some _ | None -> Alcotest.fail "all-failing read should raise Transient");
+  for _ = 1 to reads do
+    match Store.get store id with
+    | exception Store.Transient _ -> ()
+    | Some _ | None -> Alcotest.fail "all-failing read should raise Transient"
+  done;
   let elapsed = Unix.gettimeofday () -. t0 in
-  check bool_ "total sleep clamped" true (elapsed < 1.0)
+  check bool_
+    (Printf.sprintf "backoff really sleeps (%.3f s >= %.3f s)" elapsed
+       (budget ~jitter:0.0))
+    true
+    (elapsed >= 0.9 *. budget ~jitter:0.0);
+  check bool_
+    (Printf.sprintf "sleep within budget (%.3f s <= %.3f s + slack)" elapsed
+       (budget ~jitter:1.0))
+    true
+    (elapsed <= budget ~jitter:1.0 +. 0.5);
+  check int_ "every read unavailable" reads
+    (Cluster_store.cluster_stats c).Cluster_store.unavailable;
+  Cluster_store.close c
 
 let suite =
   [ Alcotest.test_case "faulty: deterministic under a seed" `Quick
@@ -678,7 +748,7 @@ let suite =
     Alcotest.test_case "backoff: duration caps and overflow" `Quick
       test_backoff_duration;
     Alcotest.test_case "backoff: lifetime sleep budget" `Quick
-      test_backoff_total_clamp;
+      test_backoff_sleep_budget;
     Alcotest.test_case "file store: fsync write path" `Quick
       test_fsync_store_roundtrip;
     Alcotest.test_case "stats: delete clamps at zero" `Quick

@@ -681,6 +681,40 @@ let test_node_cache_unit () =
   check bool_ "disabled cache stores nothing" true
     (Node_cache.find_live off store id2 = None)
 
+(* ---------------- termination on long keys ---------------- *)
+
+(* Keys of 31 bytes or more fill the rolling window by themselves, so an
+   index entry can end every node it starts.  A top row of such entries
+   used to be re-chunked into as many nodes as it had entries, forever. *)
+let test_long_keys_terminate () =
+  let store = Mem_store.create () in
+  let bs =
+    List.init 2000 (fun i ->
+        ( "row/" ^ String.make 20 'k' ^ Printf.sprintf "/%06d" i,
+          Printf.sprintf "v%d" i ))
+  in
+  let bulk = Pmap.of_bindings store bs in
+  check bool_ "validate" true (Pmap.validate bulk = Ok ());
+  check int_ "cardinal" 2000 (Pmap.cardinal bulk);
+  let half, rest = List.partition (fun (k, _) -> Hashtbl.hash k mod 2 = 0) bs in
+  let updated =
+    Pmap.update (Pmap.of_bindings store half)
+      (List.map (fun (k, v) -> Pmap.Put (Pmap.binding k v)) rest)
+  in
+  check bool_ "build = update" true (same_root bulk updated);
+  let inserted =
+    List.fold_left
+      (fun t (k, v) -> Pmap.put t k v)
+      (Pmap.empty store) (shuffle bs)
+  in
+  check bool_ "build = shuffled inserts" true (same_root bulk inserted);
+  let removed =
+    Pmap.update bulk (List.map (fun (k, _) -> Pmap.Remove k) rest)
+  in
+  check bool_ "removes = build" true
+    (same_root removed (Pmap.of_bindings store half));
+  check bool_ "removes validate" true (Pmap.validate removed = Ok ())
+
 (* ---------------- golden hashes ---------------- *)
 
 let test_golden_hashes () =
@@ -1080,5 +1114,6 @@ let suite =
       Alcotest.test_case "node cache unit semantics" `Quick
         test_node_cache_unit;
       Alcotest.test_case "golden hashes stable" `Quick test_golden_hashes;
+      Alcotest.test_case "long keys terminate" `Quick test_long_keys_terminate;
       Alcotest.test_case "pset basics" `Quick test_pset_basics;
       Alcotest.test_case "pset proofs" `Quick test_pset_proofs ]
