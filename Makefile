@@ -34,11 +34,11 @@ bench-hotpath:
 	dune exec bench/main.exe -- hotpath
 
 # Network benchmarks.  net-c10k: idle+active connection sweep of the
-# event-loop engine vs the thread-per-connection engine plus pipelined
-# depth 1/8/32 on one connection; writes BENCH_net.json.  net-scaling:
-# reader sweep 1->8 over the striped read/write locking,
-# striped-vs-coarse write p50, and 32-op BATCH frames vs single round
-# trips; writes BENCH_net_scaling.json.  (The older mixed-workload soak
+# event-loop server (1 -> 8192 connections) plus pipelined depth 1/8/32
+# on one connection; writes BENCH_net.json.  net-scaling: reader sweep
+# 1->8 over the striped read/write locking, write p50 under reader load,
+# and 32-op BATCH frames vs single round trips; writes
+# BENCH_net_scaling.json.  (The older mixed-workload soak
 # is `-- net`, writing BENCH_net_mixed.json.)
 bench-net:
 	dune exec bench/main.exe -- net-c10k
@@ -80,9 +80,9 @@ bench-obs:
 # equivalence + cache on/off smoke), a ~1-second network smoke (2
 # concurrent clients over loopback, asserts zero dropped/corrupt frames
 # and a clean shutdown), a ~1-second concurrency smoke (reader scaling,
-# striped-vs-coarse writes, BATCH), an event-loop smoke (event vs
-# threaded connection sweep, SUBSCRIBE push, pipelined depths — fails if
-# the event engine drops a connection), a sub-second durability smoke
+# writes under reader load, BATCH), an event-loop smoke (connection
+# sweep, SUBSCRIBE push, pipelined depths — fails if the server drops a
+# connection), a sub-second durability smoke
 # (group commit vs per-chunk fsync, recovery replay, truncation-point
 # crash matrix), a ~1-second delta-sync smoke (full push/pull then a
 # 1%-edit delta over loopback, verifying the frontier cut), a ~1-second

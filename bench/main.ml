@@ -42,6 +42,32 @@ let time_ms f =
 
 let kb bytes = float_of_int bytes /. 1024.0
 
+(* An in-process server over [store] on an ephemeral port, with no
+   periodic saver; the other settings default as in production. *)
+let start_net_server
+    ?(read_timeout_s = Fb_net.Server.default_config.read_timeout_s)
+    ?(backlog = Fb_net.Server.default_config.backlog)
+    ?(workers = Fb_net.Server.default_config.workers) store =
+  let config =
+    { Fb_net.Server.default_config with
+      port = 0; save_every_s = 0.0; read_timeout_s; backlog; workers }
+  in
+  match Fb_net.Server.start ~config (FB.create store) with
+  | Ok srv -> srv
+  | Error e -> failwith ("server start: " ^ e)
+
+(* [f port] against a fresh server, stopped afterwards. *)
+let with_net_server ?read_timeout_s ?backlog ?workers store f =
+  let srv = start_net_server ?read_timeout_s ?backlog ?workers store in
+  Fun.protect
+    ~finally:(fun () -> Fb_net.Server.stop srv)
+    (fun () -> f (Fb_net.Server.port srv))
+
+let mux_connect ?(user = "bench") port =
+  match Fb_net.Mux.connect ~port ~user () with
+  | Ok c -> c
+  | Error e -> failwith ("connect: " ^ Fb_net.Mux.error_to_string e)
+
 let line = String.make 78 '-'
 
 let header title =
@@ -1232,34 +1258,21 @@ let run_obs ?(quick = false) () =
      registry removes it from the wire too. *)
   let net_reqs = if quick then 1_000 else 5_000 in
   let net_rps () =
-    let fb = FB.create (Mem_store.create ()) in
-    let config =
-      { Fb_net.Server.default_config with port = 0; save_every_s = 0.0 }
-    in
-    match Fb_net.Server.start ~config fb with
-    | Error e -> failwith ("obs net bench: " ^ e)
-    | Ok srv ->
-      Fun.protect
-        ~finally:(fun () -> Fb_net.Server.stop srv)
-        (fun () ->
-          match
-            Fb_net.Client.connect ~port:(Fb_net.Server.port srv) ~user:"bench" ()
-          with
-          | Error e -> failwith (Fb_net.Client.error_to_string e)
-          | Ok c ->
-            Fun.protect
-              ~finally:(fun () -> Fb_net.Client.close c)
-              (fun () ->
-                let req i =
-                  let key = Printf.sprintf "k%d" (i mod 32) in
-                  ignore (Fb_net.Client.request c [ "put"; key; "master"; "v" ]);
-                  ignore (Fb_net.Client.request c [ "get"; key; "master" ])
-                in
-                for i = 0 to (net_reqs / 10) - 1 do req i done;
-                let (), ms =
-                  time_ms (fun () -> for i = 0 to net_reqs - 1 do req i done)
-                in
-                2.0 *. float_of_int net_reqs /. (ms /. 1000.0)))
+    with_net_server (Mem_store.create ()) (fun port ->
+        let c = mux_connect port in
+        Fun.protect
+          ~finally:(fun () -> Fb_net.Mux.close c)
+          (fun () ->
+            let req i =
+              let key = Printf.sprintf "k%d" (i mod 32) in
+              ignore (Fb_net.Mux.request c [ "put"; key; "master"; "v" ]);
+              ignore (Fb_net.Mux.request c [ "get"; key; "master" ])
+            in
+            for i = 0 to (net_reqs / 10) - 1 do req i done;
+            let (), ms =
+              time_ms (fun () -> for i = 0 to net_reqs - 1 do req i done)
+            in
+            2.0 *. float_of_int net_reqs /. (ms /. 1000.0)))
   in
   let net_on = net_rps () in
   Obs.set_enabled false;
@@ -1455,15 +1468,8 @@ let run_net ?(quick = false) () =
   header
     (if quick then "net-quick: framed TCP smoke (server + client round trip)"
      else "net: concurrent framed TCP service (mixed put/get/branch/merge)");
-  let fb = FB.create (Fb_chunk.Metered_store.wrap (Mem_store.create ())) in
-  let config =
-    { Fb_net.Server.default_config with
-      port = 0; save_every_s = 0.0; read_timeout_s = 30.0 }
-  in
   let srv =
-    match Fb_net.Server.start ~config fb with
-    | Ok s -> s
-    | Error e -> failwith ("net bench: " ^ e)
+    start_net_server (Fb_chunk.Metered_store.wrap (Mem_store.create ()))
   in
   let port = Fb_net.Server.port srv in
   let clients = if quick then 2 else 8 in
@@ -1479,22 +1485,22 @@ let run_net ?(quick = false) () =
   in
   let ops_done = Atomic.make 0 in
   let worker cid =
-    match Fb_net.Client.connect ~port ~user:(Printf.sprintf "bench%d" cid) ()
+    match Fb_net.Mux.connect ~port ~user:(Printf.sprintf "bench%d" cid) ()
     with
     | Error e ->
       Atomic.incr errors;
-      prerr_endline ("client connect failed: " ^ Fb_net.Client.error_to_string e)
+      prerr_endline ("client connect failed: " ^ Fb_net.Mux.error_to_string e)
     | Ok c ->
       let req verb tokens =
         let t0 = Unix.gettimeofday () in
-        let r = Fb_net.Client.request c tokens in
+        let r = Fb_net.Mux.request c tokens in
         record verb (Unix.gettimeofday () -. t0);
         Atomic.incr ops_done;
         match r with
         | Ok payload -> payload
         | Error e ->
           Atomic.incr errors;
-          "ERR " ^ Fb_net.Client.error_to_string e
+          "ERR " ^ Fb_net.Mux.error_to_string e
       in
       let key = Printf.sprintf "k%d" cid in
       for i = 0 to per_client - 1 do
@@ -1513,7 +1519,7 @@ let run_net ?(quick = false) () =
           ignore (req "merge" [ "merge"; key; "master"; b ])
         end
       done;
-      Fb_net.Client.close c
+      Fb_net.Mux.close c
   in
   let t0 = Unix.gettimeofday () in
   let threads = List.init clients (fun cid -> Thread.create worker cid) in
@@ -1548,13 +1554,13 @@ let run_net ?(quick = false) () =
   (* Graceful shutdown must leave nothing listening. *)
   Fb_net.Server.stop srv;
   let gone =
-    match Fb_net.Client.connect ~port ~timeout_s:1.0 () with
+    match Fb_net.Mux.connect ~port ~timeout_s:1.0 () with
     | Error _ -> true
     | Ok c ->
       (* Accept queue leftovers can win the connect race; a request must
          still fail against a stopped server. *)
-      let dead = Result.is_error (Fb_net.Client.request c [ "stat" ]) in
-      Fb_net.Client.close c;
+      let dead = Result.is_error (Fb_net.Mux.request c [ "stat" ]) in
+      Fb_net.Mux.close c;
       dead
   in
   if not gone then failwith "net bench: server still answering after stop";
@@ -1585,7 +1591,7 @@ let run_net ?(quick = false) () =
 (* ------------------------------------------------------------------ *)
 (* net-scaling: concurrency of the striped read/write server layer.   *)
 (*   1. read-only throughput as the reader count sweeps 1 -> 8        *)
-(*   2. write p50 under striped vs. coarse locking (regression check) *)
+(*   2. write p50 while readers keep every stripe busy                *)
 (*   3. 32-op BATCH frames vs. 32 single round trips                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -1614,37 +1620,19 @@ let run_net_scaling ?(quick = false) () =
     (if quick then "net-scaling-quick: striped server concurrency smoke"
      else
        Printf.sprintf
-         "net-scaling: reader sweep, striped vs coarse writes, batching \
+         "net-scaling: reader sweep, contended writes, batching \
           (simulated %.0f us storage latency)"
          (1e6 *. net_scaling_delay_s));
   let errors = Atomic.make 0 in
-  let with_server ?(slow = false) concurrency f =
+  let with_server ?(slow = false) f =
     let store = Fb_chunk.Metered_store.wrap (Mem_store.create ()) in
-    let store =
-      if slow then slow_store ~delay_s:net_scaling_delay_s store else store
-    in
-    let fb = FB.create store in
-    let config =
-      { Fb_net.Server.default_config with
-        port = 0; save_every_s = 0.0; read_timeout_s = 30.0; concurrency }
-    in
-    match Fb_net.Server.start ~config fb with
-    | Error e -> failwith ("net-scaling: " ^ e)
-    | Ok srv ->
-      Fun.protect
-        ~finally:(fun () -> Fb_net.Server.stop srv)
-        (fun () -> f (Fb_net.Server.port srv))
+    with_net_server
+      (if slow then slow_store ~delay_s:net_scaling_delay_s store else store)
+      f
   in
-  let connect port cid =
-    match
-      Fb_net.Client.connect ~port ~user:(Printf.sprintf "c%d" cid) ()
-    with
-    | Ok c -> c
-    | Error e ->
-      failwith ("net-scaling connect: " ^ Fb_net.Client.error_to_string e)
-  in
+  let connect port cid = mux_connect ~user:(Printf.sprintf "c%d" cid) port in
   let request c tokens =
-    match Fb_net.Client.request c tokens with
+    match Fb_net.Mux.request c tokens with
     | Ok payload -> payload
     | Error _ ->
       Atomic.incr errors;
@@ -1657,7 +1645,7 @@ let run_net_scaling ?(quick = false) () =
     for i = 0 to keys - 1 do
       ignore (request c [ "put"; key i; "master"; "v-" ^ key i ])
     done;
-    Fb_net.Client.close c
+    Fb_net.Mux.close c
   in
 
   (* 1. reader sweep: n clients, each issuing GETs against its own key
@@ -1667,7 +1655,7 @@ let run_net_scaling ?(quick = false) () =
   let reads_per_client = if quick then 100 else 800 in
   let reader_sweep = if quick then [ 1; 4 ] else [ 1; 2; 4; 8 ] in
   let sweep_results =
-    with_server ~slow:true `Striped (fun port ->
+    with_server ~slow:true (fun port ->
         populate port;
         List.map
           (fun n ->
@@ -1684,7 +1672,7 @@ let run_net_scaling ?(quick = false) () =
                           if request c [ "get"; k; "master" ] <> expect then
                             Atomic.incr errors
                         done;
-                        Fb_net.Client.close c)
+                        Fb_net.Mux.close c)
                       ())
               in
               List.iter Thread.join threads;
@@ -1710,14 +1698,13 @@ let run_net_scaling ?(quick = false) () =
     (List.hd (List.rev reader_sweep))
     read_scaling;
 
-  (* 2. write p50, striped vs coarse: 2 writers committing to their own
-     keys while 4 readers keep every stripe's read side busy — the
-     contention pattern where coarse locking makes writers queue behind
-     unrelated reads. *)
-  let write_p50 concurrency =
+  (* 2. write p50: 2 writers committing to their own keys while 4
+     readers keep every stripe's read side busy — writers must not queue
+     behind unrelated reads. *)
+  let write_p50 () =
     let writers = 2 and readers = if quick then 2 else 4 in
     let writes = if quick then 30 else 200 in
-    with_server ~slow:true concurrency (fun port ->
+    with_server ~slow:true (fun port ->
         populate port;
         let stop = Atomic.make false in
         let reader_threads =
@@ -1729,7 +1716,7 @@ let run_net_scaling ?(quick = false) () =
                   while not (Atomic.get stop) do
                     ignore (request c [ "get"; k; "master" ])
                   done;
-                  Fb_net.Client.close c)
+                  Fb_net.Mux.close c)
                 ())
         in
         let lat_lock = Mutex.create () in
@@ -1751,7 +1738,7 @@ let run_net_scaling ?(quick = false) () =
                     if uid = "" then Atomic.incr errors
                   done;
                   Mutex.protect lat_lock (fun () -> lats := !mine @ !lats);
-                  Fb_net.Client.close c)
+                  Fb_net.Mux.close c)
                 ())
         in
         List.iter Thread.join writer_threads;
@@ -1761,22 +1748,16 @@ let run_net_scaling ?(quick = false) () =
         Array.sort compare a;
         a.(Array.length a / 2))
   in
-  (* Interleave the modes and keep each mode's best of two trials:
-     loopback p50 is noisy and the comparison must not hinge on which
-     mode ran while the machine was busy. *)
-  let best f = min (f ()) (f ()) in
-  let striped_p50 = best (fun () -> write_p50 `Striped) in
-  let coarse_p50 = best (fun () -> write_p50 `Coarse) in
-  let write_regression = (striped_p50 -. coarse_p50) /. coarse_p50 in
-  Printf.printf
-    "write p50: striped %.1f us, coarse %.1f us (%+.1f%% vs coarse)\n"
-    (1e6 *. striped_p50) (1e6 *. coarse_p50) (100.0 *. write_regression);
+  (* Best of two trials: loopback p50 is noisy. *)
+  let write_p50 = min (write_p50 ()) (write_p50 ()) in
+  Printf.printf "write p50 under %d-reader load: %.1f us\n"
+    (if quick then 2 else 4) (1e6 *. write_p50);
 
   (* 3. batching: 32 GETs per frame vs 32 single round trips. *)
   let batch_size = 32 in
   let rounds = if quick then 10 else 100 in
   let single_ops_per_s, batch_ops_per_s =
-    with_server `Striped (fun port ->
+    with_server (fun port ->
         populate port;
         let c = connect port 0 in
         let gets =
@@ -1789,7 +1770,7 @@ let run_net_scaling ?(quick = false) () =
         let single = Unix.gettimeofday () -. t0 in
         let t0 = Unix.gettimeofday () in
         for _ = 1 to rounds do
-          match Fb_net.Client.batch c gets with
+          match Fb_net.Mux.batch c gets with
           | Ok replies ->
             List.iter
               (function Ok _ -> () | Error _ -> Atomic.incr errors)
@@ -1797,7 +1778,7 @@ let run_net_scaling ?(quick = false) () =
           | Error _ -> Atomic.incr errors
         done;
         let batched = Unix.gettimeofday () -. t0 in
-        Fb_net.Client.close c;
+        Fb_net.Mux.close c;
         let total = float_of_int (batch_size * rounds) in
         (total /. single, total /. batched))
   in
@@ -1820,11 +1801,10 @@ let run_net_scaling ?(quick = false) () =
           (if i > 0 then "," else "") n ops)
       sweep_results;
     Printf.bprintf b
-      "],\"read_scaling_8_over_1\":%.3f,\"write_p50_us_striped\":%.1f,\
-       \"write_p50_us_coarse\":%.1f,\"write_p50_regression\":%.4f,\
+      "],\"read_scaling_8_over_1\":%.3f,\"write_p50_us\":%.1f,\
        \"batch_size\":%d,\"batch_sub_ops_per_s\":%.1f,\
        \"single_ops_per_s\":%.1f,\"batch_speedup\":%.3f,\"errors\":%d}\n"
-      read_scaling (1e6 *. striped_p50) (1e6 *. coarse_p50) write_regression
+      read_scaling (1e6 *. write_p50)
       batch_size batch_ops_per_s single_ops_per_s batch_speedup
       (Atomic.get errors);
     let oc = open_out "BENCH_net_scaling.json" in
@@ -1834,14 +1814,14 @@ let run_net_scaling ?(quick = false) () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* net-c10k: connection scalability of the event-loop engine against  *)
-(* the thread-per-connection engine, plus single-connection request   *)
-(* pipelining.  Three claims, measured:                                *)
-(*   1. the event engine holds >= 10x the concurrent connections the   *)
-(*      threaded engine sustains (which is select/thread-bound),       *)
-(*   2. its active-request p99 stays flat (<= 1.5x) as idle            *)
-(*      connections pile up,                                           *)
-(*   3. pipelining depth 32 on one connection beats depth 1 by >= 5x.  *)
+(* net-c10k: connection scalability of the event-loop server, plus    *)
+(* single-connection request pipelining.  Three claims, measured:     *)
+(*   1. it sustains every point of an idle-connection sweep up to     *)
+(*      8192 connections (gated: zero errors, every idle connection   *)
+(*      still answers),                                               *)
+(*   2. its active-request p99 stays flat as idle connections pile    *)
+(*      up,                                                           *)
+(*   3. pipelining depth 32 on one connection beats depth 1.          *)
 (* Writes BENCH_net.json.                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -1885,7 +1865,6 @@ let percentile_ms lats p =
     1000.0 *. a.(max 0 (min (n - 1) idx))
 
 type c10k_point = {
-  ck_mode : string;
   ck_conns : int;
   ck_established : int;
   ck_alive : int;
@@ -1898,42 +1877,27 @@ type c10k_point = {
 
 let run_net_c10k ?(quick = false) () =
   header
-    (if quick then "net-c10k-quick: event vs threaded connection smoke"
-     else
-       "net-c10k: idle+active connection sweep (event vs threaded), \
-        pipelined depth 1/8/32");
+    (if quick then "net-c10k-quick: event-loop connection smoke"
+     else "net-c10k: idle+active connection sweep, pipelined depth 1/8/32");
   let limit = fd_limit () in
   (match limit with
    | Some l -> Printf.printf "fd limit (ulimit -n): %d\n" l
    | None -> Printf.printf "fd limit: unknown (no /proc/self/limits)\n");
-  let with_server mode f =
-    let fb = FB.create (Mem_store.create ()) in
-    let config =
-      { Fb_net.Server.default_config with
-        port = 0; save_every_s = 0.0; read_timeout_s = 120.0;
-        backlog = 1024; mode }
-    in
-    match Fb_net.Server.start ~config fb with
-    | Error e -> failwith ("net-c10k: " ^ e)
-    | Ok srv ->
-      Fun.protect
-        ~finally:(fun () -> Fb_net.Server.stop srv)
-        (fun () -> f (Fb_net.Server.port srv))
+  let with_server ?workers store f =
+    with_net_server ~read_timeout_s:120.0 ~backlog:1024 ?workers store f
   in
-  (* timeout_s = 0 disables every select-based deadline in the client, so
-     the bench process itself has no FD_SETSIZE ceiling; the servers
-     under test keep their own discipline (which is the thing measured). *)
-  let connect port =
-    match Fb_net.Client.connect ~port ~user:"bench" ~timeout_s:0.0 () with
-    | Ok c -> Some c
-    | Error _ -> None
-  in
-  let mode_name = function `Event -> "event" | `Threaded -> "threaded" in
+  let get = [ "get"; "k0"; "master" ] in
   let active_reqs = if quick then 50 else 300 in
   let hot_writes = if quick then 10 else 50 in
-  let point mode port n =
-    (* Hold [n] idle connections open for the duration of the point. *)
-    let idles = Array.init n (fun _ -> connect port) in
+  let point port n =
+    (* Hold [n] idle connections open for the duration of the point:
+       bare dialled sockets, no client state beyond the fd. *)
+    let idles =
+      Array.init n (fun _ ->
+          match Fb_net.Mux.dial ~port () with
+          | Ok fd -> Some fd
+          | Error _ -> None)
+    in
     let established =
       Array.fold_left
         (fun acc -> function Some _ -> acc + 1 | None -> acc)
@@ -1942,106 +1906,91 @@ let run_net_c10k ?(quick = false) () =
     let errors = Atomic.make 0 in
     let lat_mu = Mutex.create () in
     let lats = ref [] in
-    (* SUBSCRIBE under load (event engine only): one pushed watch while
-       the getters hammer and a writer moves a branch head. *)
+    (* SUBSCRIBE under load: one pushed watch while the getters hammer
+       and a writer moves a branch head. *)
     let events_seen = Atomic.make 0 in
-    let sub =
-      if mode = `Event then
-        match
-          Fb_net.Mux.connect ~port ~user:"bench" ~timeout_s:0.0 ()
-        with
-        | Error _ ->
-          Atomic.incr errors;
-          None
-        | Ok mux -> (
-          match
-            Fb_net.Mux.subscribe ~key:"hot" mux (fun _ _ ->
-                Atomic.incr events_seen)
-          with
-          | Ok _ -> Some mux
-          | Error _ ->
-            Atomic.incr errors;
-            Fb_net.Mux.close mux;
-            None)
-      else None
-    in
+    let sub = mux_connect port in
+    (match
+       Fb_net.Mux.subscribe ~key:"hot" sub (fun _ _ -> Atomic.incr events_seen)
+     with
+     | Ok _ -> ()
+     | Error _ -> Atomic.incr errors);
     let t0 = Unix.gettimeofday () in
     let getters =
       List.init 4 (fun _ ->
           Thread.create
             (fun () ->
-              match connect port with
-              | None -> Atomic.incr errors
-              | Some c ->
-                let mine = ref [] in
-                (* Unmeasured warmup: first round trips pay connection
-                   and thread ramp-up, not steady-state latency. *)
-                for _ = 1 to 10 do
-                  ignore (Fb_net.Client.request c [ "get"; "k0"; "master" ])
-                done;
-                for _ = 1 to active_reqs do
-                  let r0 = Unix.gettimeofday () in
-                  match Fb_net.Client.request c [ "get"; "k0"; "master" ] with
-                  | Ok _ -> mine := (Unix.gettimeofday () -. r0) :: !mine
-                  | Error _ -> Atomic.incr errors
-                done;
-                Mutex.protect lat_mu (fun () -> lats := !mine @ !lats);
-                Fb_net.Client.close c)
+              let c = mux_connect port in
+              let mine = ref [] in
+              (* Unmeasured warmup: first round trips pay connection
+                 and thread ramp-up, not steady-state latency. *)
+              for _ = 1 to 10 do
+                ignore (Fb_net.Mux.request c get)
+              done;
+              for _ = 1 to active_reqs do
+                let r0 = Unix.gettimeofday () in
+                match Fb_net.Mux.request c get with
+                | Ok _ -> mine := (Unix.gettimeofday () -. r0) :: !mine
+                | Error _ -> Atomic.incr errors
+              done;
+              Mutex.protect lat_mu (fun () -> lats := !mine @ !lats);
+              Fb_net.Mux.close c)
             ())
     in
     let writer =
       Thread.create
         (fun () ->
-          match connect port with
-          | None -> Atomic.incr errors
-          | Some c ->
-            for i = 1 to hot_writes do
-              match
-                Fb_net.Client.request c
-                  [ "put"; "hot"; "master"; Printf.sprintf "h%d" i ]
-              with
-              | Ok _ -> ()
-              | Error _ -> Atomic.incr errors
-            done;
-            Fb_net.Client.close c)
+          let c = mux_connect port in
+          for i = 1 to hot_writes do
+            match
+              Fb_net.Mux.request c
+                [ "put"; "hot"; "master"; Printf.sprintf "h%d" i ]
+            with
+            | Ok _ -> ()
+            | Error _ -> Atomic.incr errors
+          done;
+          Fb_net.Mux.close c)
         ()
     in
     List.iter Thread.join getters;
     Thread.join writer;
     let elapsed = Unix.gettimeofday () -. t0 in
     let ok_gets = List.length !lats in
-    (match sub with
-     | Some mux ->
-       (* Give the last push a beat to arrive before tearing down. *)
-       let deadline = Unix.gettimeofday () +. 2.0 in
-       while
-         Atomic.get events_seen < hot_writes
-         && Unix.gettimeofday () < deadline
-       do
-         Thread.delay 0.02
-       done;
-       Fb_net.Mux.close mux
-     | None -> ());
-    (* Probe every idle connection: a round trip proves the server still
-       owns the socket (the threaded engine silently drops connections
-       past its select ceiling). *)
+    (* Give the last push a beat to arrive before tearing down. *)
+    let deadline = Unix.gettimeofday () +. 2.0 in
+    while
+      Atomic.get events_seen < hot_writes && Unix.gettimeofday () < deadline
+    do
+      Thread.delay 0.02
+    done;
+    Fb_net.Mux.close sub;
+    (* Probe every idle connection with one untagged frame: a round trip
+       proves the server still owns the socket. *)
+    let probe =
+      Fb_net.Frame.encode_request ~user:"bench" (Fb_net.Frame.Single get)
+    in
     let alive = ref 0 in
     Array.iter
       (function
         | None -> ()
-        | Some c ->
-          (match Fb_net.Client.request c [ "get"; "k0"; "master" ] with
-           | Ok _ -> incr alive
-           | Error _ -> ());
-          Fb_net.Client.close c)
+        | Some fd ->
+          (match
+             match Fb_net.Frame.write_frame ~timeout_s:5.0 fd probe with
+             | Ok () -> Fb_net.Frame.read_frame ~timeout_s:5.0 fd
+             | Error _ as e -> e
+           with
+           | Ok payload -> (
+             match Fb_net.Frame.decode_response payload with
+             | Ok (_, None, Fb_net.Frame.One (Ok _)) -> incr alive
+             | _ -> ())
+           | Error _ | (exception Unix.Unix_error _) -> ());
+          (try Unix.close fd with Unix.Unix_error _ -> ()))
       idles;
-    let p99 = percentile_ms !lats 99.0 in
     let pt =
-      { ck_mode = mode_name mode;
-        ck_conns = n;
+      { ck_conns = n;
         ck_established = established;
         ck_alive = !alive;
-        ck_p99_ms = p99;
+        ck_p99_ms = percentile_ms !lats 99.0;
         ck_ops_per_s =
           (if elapsed > 0.0 then float_of_int ok_gets /. elapsed else 0.0);
         ck_events = Atomic.get events_seen;
@@ -2050,80 +1999,60 @@ let run_net_c10k ?(quick = false) () =
           established = n && !alive = n && Atomic.get errors = 0 }
     in
     Printf.printf
-      "%-8s conns=%-5d held=%d/%d  p99=%6.2f ms  %8.0f gets/s  \
-       events=%d/%d%s\n%!"
-      pt.ck_mode n pt.ck_alive n pt.ck_p99_ms pt.ck_ops_per_s pt.ck_events
-      (if mode = `Event then hot_writes else 0)
+      "conns=%-5d held=%d/%d  p99=%6.2f ms  %8.0f gets/s  events=%d/%d%s\n%!"
+      n pt.ck_alive n pt.ck_p99_ms pt.ck_ops_per_s pt.ck_events hot_writes
       (if pt.ck_sustained then "" else "  [NOT SUSTAINED]");
     pt
   in
-  let shared_points = if quick then [ 1; 64 ] else [ 1; 64; 256; 1024 ] in
-  let event_points =
-    shared_points @ (if quick then [ 256 ] else [ 4096; 8192 ])
+  let points =
+    if quick then [ 1; 64; 256 ] else [ 1; 64; 256; 1024; 4096; 8192 ]
   in
   (* Every connection costs two fds in-process (client end + server
      end); skip points the rlimit cannot fit instead of dying on EMFILE. *)
   let fits n =
     match limit with None -> true | Some l -> (2 * n) + 128 <= l
   in
-  let run_mode mode points =
-    with_server mode (fun port ->
-        (match connect port with
-         | Some c ->
-           ignore (Fb_net.Client.request c [ "put"; "k0"; "master"; "v0" ]);
-           ignore (Fb_net.Client.request c [ "put"; "hot"; "master"; "h0" ]);
-           Fb_net.Client.close c
-         | None -> failwith "net-c10k: populate connect failed");
+  let sweep =
+    with_server (Mem_store.create ()) (fun port ->
+        let c = mux_connect port in
+        ignore (Fb_net.Mux.request c [ "put"; "k0"; "master"; "v0" ]);
+        ignore (Fb_net.Mux.request c [ "put"; "hot"; "master"; "h0" ]);
+        Fb_net.Mux.close c;
         List.filter_map
           (fun n ->
-            if fits n then Some (point mode port n)
+            if fits n then Some (point port n)
             else begin
-              Printf.printf
-                "%-8s conns=%-5d skipped (needs %d fds, limit %s)\n"
-                (mode_name mode) n
+              Printf.printf "conns=%-5d skipped (needs %d fds, limit %s)\n" n
                 ((2 * n) + 128)
                 (match limit with
                  | Some l -> string_of_int l
-                 | None -> "unknown")
-              ;
+                 | None -> "unknown");
               None
             end)
           points)
   in
-  let threaded = run_mode `Threaded shared_points in
-  let event = run_mode `Event event_points in
-  let max_sustained pts =
+  let max_sustained =
     List.fold_left
       (fun acc p -> if p.ck_sustained then max acc p.ck_conns else acc)
-      0 pts
+      0 sweep
   in
-  let threaded_max = max_sustained threaded in
-  let event_max = max_sustained event in
-  let conn_ratio =
-    if threaded_max > 0 then
-      float_of_int event_max /. float_of_int threaded_max
-    else infinity
-  in
-  let p99_at pts n =
+  let p99_at n =
     List.find_map
       (fun p -> if p.ck_conns = n && p.ck_p99_ms >= 0.0 then Some p.ck_p99_ms
                 else None)
-      pts
+      sweep
   in
-  let event_base_p99 = p99_at event (List.hd event_points) in
-  let event_max_p99 = p99_at event event_max in
+  let base_p99 = p99_at (List.hd points) in
+  let max_p99 = p99_at max_sustained in
   let p99_flatness =
-    match event_base_p99, event_max_p99 with
+    match base_p99, max_p99 with
     | Some b, Some m when b > 0.0 -> m /. b
     | _ -> nan
   in
+  let ms = function Some v -> Printf.sprintf "%.2f" v | None -> "?" in
   Printf.printf
-    "max sustained: event %d conns, threaded %d conns (%.1fx); event p99 \
-     %s -> %s ms across the sweep (%.2fx)\n"
-    event_max threaded_max conn_ratio
-    (match event_base_p99 with Some v -> Printf.sprintf "%.2f" v | None -> "?")
-    (match event_max_p99 with Some v -> Printf.sprintf "%.2f" v | None -> "?")
-    p99_flatness;
+    "max sustained: %d conns; p99 %s -> %s ms across the sweep (%.2fx)\n"
+    max_sustained (ms base_p99) (ms max_p99) p99_flatness;
 
   (* Pipelining: one mux connection, a window of [depth] tagged requests
      kept in flight; depth 1 degenerates to strict request/response.
@@ -2135,89 +2064,59 @@ let run_net_c10k ?(quick = false) () =
      across the worker pool. *)
   let pipeline_total = if quick then 400 else 4_000 in
   let pipeline_depths = [ 1; 8; 32 ] in
-  let with_pipeline_server f =
-    let store =
-      slow_store ~delay_s:net_scaling_delay_s
-        (Fb_chunk.Metered_store.wrap (Mem_store.create ()))
-    in
-    let fb = FB.create store in
-    let config =
-      { Fb_net.Server.default_config with
-        port = 0; save_every_s = 0.0; read_timeout_s = 120.0;
-        backlog = 1024; mode = `Event; workers = 8 }
-    in
-    match Fb_net.Server.start ~config fb with
-    | Error e -> failwith ("net-c10k: " ^ e)
-    | Ok srv ->
-      Fun.protect
-        ~finally:(fun () -> Fb_net.Server.stop srv)
-        (fun () -> f (Fb_net.Server.port srv))
-  in
   let pipeline_results =
-    with_pipeline_server (fun port ->
-        (match connect port with
-         | Some c ->
-           ignore (Fb_net.Client.request c [ "put"; "k0"; "master"; "v0" ]);
-           Fb_net.Client.close c
-         | None -> failwith "net-c10k: populate connect failed");
-        match Fb_net.Mux.connect ~port ~user:"bench" ~timeout_s:0.0 () with
-        | Error e ->
-          failwith ("net-c10k mux: " ^ Fb_net.Client.error_to_string e)
-        | Ok mux ->
-          Fun.protect
-            ~finally:(fun () -> Fb_net.Mux.close mux)
-            (fun () ->
-              List.map
-                (fun depth ->
-                  let inflight = Queue.create () in
-                  let failed = ref 0 in
-                  let await_one () =
-                    match Fb_net.Mux.await mux (Queue.pop inflight) with
-                    | Ok (Fb_net.Frame.One (Ok _)) -> ()
-                    | _ -> incr failed
-                  in
-                  let t0 = Unix.gettimeofday () in
-                  for _ = 1 to pipeline_total do
-                    if Queue.length inflight >= depth then await_one ();
-                    match
-                      Fb_net.Mux.send mux
-                        (Fb_net.Frame.Single [ "get"; "k0"; "master" ])
-                    with
-                    | Ok ticket -> Queue.push ticket inflight
-                    | Error _ -> incr failed
-                  done;
-                  while not (Queue.is_empty inflight) do
-                    await_one ()
-                  done;
-                  let ops =
-                    float_of_int pipeline_total
-                    /. (Unix.gettimeofday () -. t0)
-                  in
-                  if !failed > 0 then
-                    failwith
-                      (Printf.sprintf "net-c10k: %d pipelined failures"
-                         !failed);
-                  Printf.printf "pipeline depth=%-3d  %8.0f ops/s\n%!" depth
-                    ops;
-                  (depth, ops))
-                pipeline_depths))
+    with_server ~workers:8
+      (slow_store ~delay_s:net_scaling_delay_s
+         (Fb_chunk.Metered_store.wrap (Mem_store.create ())))
+      (fun port ->
+        let mux = mux_connect port in
+        Fun.protect
+          ~finally:(fun () -> Fb_net.Mux.close mux)
+          (fun () ->
+            ignore (Fb_net.Mux.request mux [ "put"; "k0"; "master"; "v0" ]);
+            List.map
+              (fun depth ->
+                let inflight = Queue.create () in
+                let failed = ref 0 in
+                let await_one () =
+                  match Fb_net.Mux.await mux (Queue.pop inflight) with
+                  | Ok (Fb_net.Frame.One (Ok _)) -> ()
+                  | _ -> incr failed
+                in
+                let t0 = Unix.gettimeofday () in
+                for _ = 1 to pipeline_total do
+                  if Queue.length inflight >= depth then await_one ();
+                  match Fb_net.Mux.send mux (Fb_net.Frame.Single get) with
+                  | Ok ticket -> Queue.push ticket inflight
+                  | Error _ -> incr failed
+                done;
+                while not (Queue.is_empty inflight) do
+                  await_one ()
+                done;
+                let ops =
+                  float_of_int pipeline_total /. (Unix.gettimeofday () -. t0)
+                in
+                if !failed > 0 then
+                  failwith
+                    (Printf.sprintf "net-c10k: %d pipelined failures" !failed);
+                Printf.printf "pipeline depth=%-3d  %8.0f ops/s\n%!" depth ops;
+                (depth, ops))
+              pipeline_depths))
   in
   let depth_ops d = List.assoc d pipeline_results in
   let pipeline_speedup = depth_ops 32 /. depth_ops 1 in
   Printf.printf "pipelining speedup depth-32 over depth-1: %.2fx\n"
     pipeline_speedup;
-  (* The event engine must be spotless: any error or dropped connection
-     on its side of the sweep is a real regression, not a limitation
-     being documented. *)
+  (* The sweep must be spotless: any error or dropped connection is a
+     real regression, not a limitation being documented. *)
   List.iter
     (fun p ->
       if not p.ck_sustained then
         failwith
           (Printf.sprintf
-             "net-c10k: event engine failed to sustain %d connections \
-              (held %d, errors %d)"
+             "net-c10k: failed to sustain %d connections (held %d, errors %d)"
              p.ck_conns p.ck_alive p.ck_errors))
-    event;
+    sweep;
   if not quick then begin
     let b = Buffer.create 1024 in
     let backend =
@@ -2232,17 +2131,17 @@ let run_net_c10k ?(quick = false) () =
     List.iteri
       (fun i p ->
         Printf.bprintf b
-          "%s{\"mode\":\"%s\",\"conns\":%d,\"established\":%d,\"alive\":%d,\
-           \"p99_ms\":%.3f,\"gets_per_s\":%.1f,\"events_pushed\":%d,\
-           \"errors\":%d,\"sustained\":%b}"
+          "%s{\"mode\":\"event\",\"conns\":%d,\"established\":%d,\
+           \"alive\":%d,\"p99_ms\":%.3f,\"gets_per_s\":%.1f,\
+           \"events_pushed\":%d,\"errors\":%d,\"sustained\":%b}"
           (if i > 0 then "," else "")
-          p.ck_mode p.ck_conns p.ck_established p.ck_alive p.ck_p99_ms
-          p.ck_ops_per_s p.ck_events p.ck_errors p.ck_sustained)
-      (threaded @ event);
+          p.ck_conns p.ck_established p.ck_alive p.ck_p99_ms p.ck_ops_per_s
+          p.ck_events p.ck_errors p.ck_sustained)
+      sweep;
     Printf.bprintf b
-      "],\"threaded_max_sustained\":%d,\"event_max_sustained\":%d,\
-       \"conn_ratio\":%.2f,\"event_p99_flatness\":%.3f,\"pipeline\":["
-      threaded_max event_max conn_ratio p99_flatness;
+      "],\"event_max_sustained\":%d,\"event_p99_flatness\":%.3f,\
+       \"pipeline\":["
+      max_sustained p99_flatness;
     List.iteri
       (fun i (d, ops) ->
         Printf.bprintf b "%s{\"depth\":%d,\"ops_per_s\":%.1f}"
@@ -2445,15 +2344,7 @@ let run_sync ?(quick = false) () =
              (FB.put src ~key:"table" (Value.map_of_bindings src_store base))))
   in
   Printf.printf "built v1 (%d records) in %.0f ms\n%!" n build_ms;
-  let srv_fb = FB.create (Mem_store.create ()) in
-  let config =
-    { Fb_net.Server.default_config with port = 0; save_every_s = 0.0 }
-  in
-  let srv =
-    match Fb_net.Server.start ~config srv_fb with
-    | Ok s -> s
-    | Error e -> failwith ("sync bench: " ^ e)
-  in
+  let srv = start_net_server (Mem_store.create ()) in
   let r =
     match Fb_net.Remote.connect ~port:(Fb_net.Server.port srv) () with
     | Ok r -> r

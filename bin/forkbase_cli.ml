@@ -522,20 +522,13 @@ let serve_cmd =
   let timeout_arg =
     Arg.(value & opt float 30.0
          & info [ "read-timeout" ] ~docv:"SECONDS"
-             ~doc:"Per-frame read deadline; a peer that stalls longer is \
-                   disconnected.  0 disables.")
+             ~doc:"Idle deadline: a connection with nothing in flight \
+                   that stays quiet longer is disconnected.  0 disables.")
   in
   let max_frame_arg =
     Arg.(value & opt int Fb_net.Frame.default_max_frame
          & info [ "max-frame" ] ~docv:"BYTES"
              ~doc:"Largest accepted request frame.")
-  in
-  let coarse_arg =
-    Arg.(value & flag
-         & info [ "coarse" ]
-             ~doc:"Serialize every request under one global lock instead \
-                   of the striped read/write locking (debugging and A/B \
-                   benchmarking escape hatch).")
   in
   let metrics_port_arg =
     Arg.(value & opt (some int) None
@@ -552,34 +545,27 @@ let serve_cmd =
                    Warn event + span tree kept for /tracez).  Default: \
                    the FB_SLOW_MS environment variable, else disabled.")
   in
-  let threaded_arg =
-    Arg.(value & flag
-         & info [ "threaded" ]
-             ~doc:"Serve with the thread-per-connection engine instead \
-                   of the event loop (A/B benchmarking and escape hatch; \
-                   SUBSCRIBE push is unavailable in this mode).")
-  in
   let workers_arg =
     Arg.(value & opt int Fb_net.Server.default_config.workers
          & info [ "workers" ] ~docv:"N"
-             ~doc:"Event loop: dispatch worker threads.")
+             ~doc:"Dispatch worker threads.")
   in
   let max_outbox_arg =
     Arg.(value & opt int Fb_net.Server.default_config.max_outbox
          & info [ "max-outbox" ] ~docv:"BYTES"
-             ~doc:"Event loop: per-connection reply backlog before the \
+             ~doc:"Per-connection reply backlog before the \
                    server stops reading from that connection \
                    (backpressure on slow consumers).")
   in
   let write_stall_arg =
     Arg.(value & opt float Fb_net.Server.default_config.write_stall_s
          & info [ "write-stall" ] ~docv:"SECONDS"
-             ~doc:"Event loop: disconnect a peer whose pending replies \
+             ~doc:"Disconnect a peer whose pending replies \
                    make no write progress for $(docv) seconds; 0 \
                    disables.")
   in
-  let run root user port host stdio save_every timeout max_frame coarse
-      backend nodes replicas fsync metrics_port slow_ms threaded workers
+  let run root user port host stdio save_every timeout max_frame
+      backend nodes replicas fsync metrics_port slow_ms workers
       max_outbox write_stall =
     (* The log engine runs its background thread under the daemon: aged
        group-commit batches are flushed and garbage-heavy generations
@@ -621,13 +607,10 @@ let serve_cmd =
         let config =
           { Fb_net.Server.default_config with
             host; port; default_user = user; save_every_s = save_every;
-            read_timeout_s = timeout; max_frame;
-            concurrency = (if coarse then `Coarse else `Striped);
-            metrics_port;
+            read_timeout_s = timeout; max_frame; metrics_port;
             slow_ms =
               Option.value slow_ms
                 ~default:Fb_net.Server.default_config.slow_ms;
-            mode = (if threaded then `Threaded else `Event);
             workers; max_outbox; write_stall_s = write_stall }
         in
         (match Fb_net.Server.start ~config ~save fb with
@@ -650,10 +633,10 @@ let serve_cmd =
              framing, or on stdin/stdout with $(b,--stdio).")
     Term.(ret (const run $ root_arg $ user_arg $ port_arg
                $ host_arg ~doc:"Address to bind." $ stdio_arg
-               $ save_every_arg $ timeout_arg $ max_frame_arg $ coarse_arg
+               $ save_every_arg $ timeout_arg $ max_frame_arg
                $ backend_arg $ nodes_arg $ replicas_arg $ fsync_arg
                $ metrics_port_arg $ slow_ms_arg
-               $ threaded_arg $ workers_arg $ max_outbox_arg
+               $ workers_arg $ max_outbox_arg
                $ write_stall_arg))
 
 let client_cmd =

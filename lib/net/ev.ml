@@ -142,6 +142,14 @@ let wait t ~timeout_ms =
   | Epoll epfd -> epoll_wait epfd t ~timeout_ms
   | Poll -> poll_wait t ~timeout_ms
 
+let wait_one fd ~read ~timeout_ms =
+  match
+    poll_raw [| fd_int fd |] [| (if read then pollin else pollout) |] [| 0 |] 1
+      timeout_ms
+  with
+  | 0 | -1 -> false (* timeout or EINTR *)
+  | _ -> true
+
 let ready_fd t i = t.ready_fds.(i)
 let ready_events t i = t.ready_evs.(i)
 

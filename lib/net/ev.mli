@@ -7,7 +7,7 @@
     fds) per {!wait}.  That is the property that keeps tail latency flat
     across a C10K connection sweep; the poll fallback (non-Linux hosts)
     walks every registered fd per wait instead.  Neither backend shares
-    [Unix.select]'s FD_SETSIZE ceiling of 1024 descriptors.
+    select(2)'s FD_SETSIZE ceiling of 1024 descriptors.
 
     The C stubs release the OCaml runtime lock while blocked, so the
     worker pool keeps dispatching while the I/O loop sleeps.  One loop
@@ -36,6 +36,13 @@ val wait : t -> timeout_ms:int -> int
     lifecycle promptly even under a signal storm; it never escapes as
     an exception.
     @raise Unix.Unix_error on genuine backend failure. *)
+
+val wait_one : Unix.file_descr -> read:bool -> timeout_ms:int -> bool
+(** One-shot poll(2) of a single fd for readability ([read]) or
+    writability, without an instance: [true] once the fd is ready or
+    errored, [false] on timeout or a signal interruption.  Any fd number
+    works — the timed waits outside the loop ({!Frame.wait_readable})
+    use it so no path has select(2)'s FD_SETSIZE ceiling. *)
 
 val ready_fd : t -> int -> int
 (** The raw fd number of the [i]-th ready entry of the last {!wait}. *)

@@ -301,13 +301,12 @@ let rec wait_fd ~read fd deadline =
     let remaining = t -. Unix.gettimeofday () in
     if remaining <= 0.0 then Error Timeout
     else
-      let rd = if read then [ fd ] else [] in
-      let wr = if read then [] else [ fd ] in
-      (match Unix.select rd wr [] remaining with
-       | [], [], _ -> Error Timeout
-       | _ -> Ok ()
-       | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-         wait_fd ~read fd deadline)
+      (* Round up so the wait never ends before the deadline; a timeout
+         (or EINTR) re-checks the clock and reports it. *)
+      let timeout_ms = int_of_float (Float.ceil (remaining *. 1000.0)) in
+      if Ev.wait_one fd ~read ~timeout_ms:(min timeout_ms 1_000_000_000) then
+        Ok ()
+      else wait_fd ~read fd deadline
 
 let wait_readable fd deadline = wait_fd ~read:true fd deadline
 let wait_writable fd deadline = wait_fd ~read:false fd deadline

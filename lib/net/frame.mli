@@ -135,14 +135,15 @@ val decode_response :
 val deadline_of_timeout : float option -> float option
 (** [Some t] with [t > 0.] becomes an absolute deadline; [None] or a
     non-positive timeout means no deadline.  Every IO helper below (and
-    {!Client.connect}) derives its deadline through this single
+    {!Mux.dial}) derives its deadline through this single
     function, so "[<= 0.] disables" holds uniformly. *)
 
 val wait_readable :
   Unix.file_descr -> float option -> (unit, error) result
 val wait_writable :
   Unix.file_descr -> float option -> (unit, error) result
-(** Block until the fd is ready or the absolute deadline passes. *)
+(** Block until the fd is ready or the absolute deadline passes.  Built
+    on poll(2), so any fd number works (no FD_SETSIZE ceiling). *)
 
 val write_frame :
   ?timeout_s:float -> Unix.file_descr -> string -> (unit, error) result

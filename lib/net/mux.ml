@@ -1,9 +1,13 @@
 module Errors = Fb_core.Errors
 module Obs = Fb_obs.Obs
 
-type error = Client.error =
+type error =
   | Remote of Errors.t
   | Transport of string
+
+let error_to_string = function
+  | Remote e -> Errors.to_string e
+  | Transport msg -> "transport: " ^ msg
 
 type callback = Frame.trace option -> Frame.event -> unit
 
@@ -32,6 +36,49 @@ type t = {
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 let shutdown_quiet fd =
   try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
+
+exception Connect_failed of string
+
+let dial ?(host = "127.0.0.1") ?(port = 7447) ?(timeout_s = 30.0) () =
+  match Frame.resolve_host host with
+  | Error e -> Error (Transport e)
+  | Ok addr ->
+    let deadline = Frame.deadline_of_timeout (Some timeout_s) in
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    (* Everything after socket creation funnels through this handler:
+       whatever fails — connect, the deadline, setsockopt — the fd is
+       closed exactly once before the error is returned. *)
+    (match
+       (match deadline with
+        | None -> Unix.connect fd (Unix.ADDR_INET (addr, port))
+        | Some _ ->
+          (* Deadline-bounded connect: non-blocking + wait_writable, the
+             same poll helper every other timed IO path uses. *)
+          Unix.set_nonblock fd;
+          (try Unix.connect fd (Unix.ADDR_INET (addr, port))
+           with Unix.Unix_error (Unix.EINPROGRESS, _, _) -> (
+             match Frame.wait_writable fd deadline with
+             | Error e ->
+               raise (Connect_failed ("connect " ^ Frame.error_to_string e))
+             | Ok () -> (
+               match Unix.getsockopt_error fd with
+               | None -> ()
+               | Some err -> raise (Unix.Unix_error (err, "connect", "")))));
+          Unix.clear_nonblock fd);
+       Unix.setsockopt fd Unix.TCP_NODELAY true
+     with
+    | () -> Ok fd
+    | exception e ->
+      close_quiet fd;
+      (match e with
+       | Unix.Unix_error (err, _, _) ->
+         Error
+           (Transport
+              (Printf.sprintf "connect %s:%d: %s" host port
+                 (Unix.error_message err)))
+       | Connect_failed msg ->
+         Error (Transport (Printf.sprintf "%s (%s:%d)" msg host port))
+       | e -> raise e))
 
 (* Kill the connection: every waiter (current and future) gets [reason]
    as a [Transport] error, callbacks stop firing.  Idempotent — the
@@ -120,7 +167,7 @@ let reader_loop t () =
 
 let connect ?host ?port ?(user = "anonymous")
     ?(max_frame = Frame.default_max_frame) ?(timeout_s = 30.0) () =
-  match Client.dial ?host ?port ~timeout_s () with
+  match dial ?host ?port ~timeout_s () with
   | Error e -> Error e
   | Ok fd ->
     let t =
@@ -194,57 +241,46 @@ let await t ticket =
         in
         wait ())
 
+(* A reply of the wrong shape means the stream cannot be trusted. *)
+let violation t msg =
+  poison t msg;
+  Error (Transport msg)
+
+let call ?user ?install t req =
+  match send ?user ?install t req with
+  | Error _ as e -> e
+  | Ok tk -> await t tk
+
 let request ?user t tokens =
   let verb = match tokens with v :: _ -> String.lowercase_ascii v | [] -> "" in
   Obs.with_span ~attrs:[ ("verb", verb) ] "net.client.request" (fun () ->
-      match send ?user t (Frame.Single tokens) with
+      match call ?user t (Frame.Single tokens) with
       | Error _ as e -> e
-      | Ok tk -> (
-        match await t tk with
-        | Error _ as e -> e
-        | Ok (Frame.One (Ok payload)) -> Ok payload
-        | Ok (Frame.One (Error e)) -> Error (Remote e)
-        | Ok (Frame.Many _ | Frame.Event _) ->
-          let msg = "mismatched reply shape for a single request" in
-          poison t msg;
-          Error (Transport msg)))
+      | Ok (Frame.One (Ok payload)) -> Ok payload
+      | Ok (Frame.One (Error e)) -> Error (Remote e)
+      | Ok (Frame.Many _ | Frame.Event _) ->
+        violation t "mismatched reply shape for a single request")
 
 let batch ?user t reqs =
   Obs.with_span
     ~attrs:[ ("n", string_of_int (List.length reqs)) ]
     "net.client.batch"
     (fun () ->
-      match send ?user t (Frame.Batch reqs) with
+      match call ?user t (Frame.Batch reqs) with
       | Error _ as e -> e
-      | Ok tk -> (
-        match await t tk with
-        | Error _ as e -> e
-        | Ok (Frame.Many replies) when List.length replies = List.length reqs
-          ->
-          Ok replies
-        | Ok _ ->
-          let msg = "mismatched reply shape for a batch request" in
-          poison t msg;
-          Error (Transport msg)))
+      | Ok (Frame.Many replies) when List.length replies = List.length reqs ->
+        Ok replies
+      | Ok _ -> violation t "mismatched reply shape for a batch request")
 
 let subscribe ?user ?(key = "*") ?(branch = "*") t cb =
-  match send ?user ~install:cb t (Frame.Single [ "subscribe"; key; branch ]) with
+  match call ?user ~install:cb t (Frame.Single [ "subscribe"; key; branch ]) with
   | Error _ as e -> e
-  | Ok tk -> (
-    match await t tk with
-    | Error _ as e -> e
-    | Ok (Frame.One (Ok payload)) -> (
-      match int_of_string_opt payload with
-      | Some sid -> Ok sid
-      | None ->
-        let msg = "unparsable subscription id: " ^ payload in
-        poison t msg;
-        Error (Transport msg))
-    | Ok (Frame.One (Error e)) -> Error (Remote e)
-    | Ok _ ->
-      let msg = "mismatched reply shape for subscribe" in
-      poison t msg;
-      Error (Transport msg))
+  | Ok (Frame.One (Ok payload)) -> (
+    match int_of_string_opt payload with
+    | Some sid -> Ok sid
+    | None -> violation t ("unparsable subscription id: " ^ payload))
+  | Ok (Frame.One (Error e)) -> Error (Remote e)
+  | Ok _ -> violation t "mismatched reply shape for subscribe"
 
 let unsubscribe ?user t sid =
   (* Drop the local callback first so deliveries stop immediately; any

@@ -1,26 +1,36 @@
-(** Pipelined, multiplexing TCP client for the ForkBase service.
+(** Pipelined, multiplexing TCP client for the ForkBase service — the
+    one client of the wire layer.
 
-    Where {!Client} is strict request/response (one outstanding request,
-    blocking round trips), a [Mux.t] keeps {e many} requests in flight
-    on one connection: every outgoing frame is tagged with a sequence id
-    ({!Frame}, flag [0x40]), a dedicated reader thread demultiplexes the
-    (possibly out-of-order) tagged replies back to their waiters, and
+    A [Mux.t] keeps {e many} requests in flight on one connection:
+    every outgoing frame is tagged with a sequence id ({!Frame}, flag
+    [0x40]), a dedicated reader thread demultiplexes the (possibly
+    out-of-order) tagged replies back to their waiters, and
     server-initiated [Event] frames are routed to SUBSCRIBE callbacks.
 
     Two usage styles:
     {ul
-    {- {!request}/{!batch} — blocking calls, same shape as {!Client};
-       many threads may call them concurrently over one connection and
-       their requests pipeline automatically.}
+    {- {!request}/{!batch} — blocking calls.  One thread issuing them
+       one at a time is a strict request/response client (pipeline
+       depth 1); many threads may call them concurrently over one
+       connection and their requests pipeline automatically.}
     {- {!send} + {!await} — split issue from completion, for a single
        thread keeping a deep pipeline (the bench driver's depth-N
        sweep): issue N tickets, then await them.}}
 
-    Failure model: transport failures and protocol violations (a torn
-    frame, a reply carrying an unknown sequence id, an untagged reply)
-    {e poison} the connection — every outstanding and future call fails
-    with the same [Transport] error, and callbacks stop.  Typed server
-    errors ([Remote]) do not.
+    Failure model: server-side failures come back as [Remote] carrying
+    the same typed {!Fb_core.Errors.t} a local caller would get, and do
+    not harm the connection.  Transport failures and protocol violations
+    (a torn frame, a reply carrying an unknown sequence id, an untagged
+    reply) {e poison} the connection — every outstanding and future call
+    fails with the same [Transport] error, and callbacks stop.  Most
+    applications want the {!Remote} module on top, which mirrors the
+    typed {!Fb_core.Forkbase} surface.
+
+    Tracing: when observability is enabled, every {!request}/{!batch}
+    runs inside a [net.client.request]/[net.client.batch] span and
+    stamps the frame with the calling thread's trace context
+    ({!Frame.trace}), so the server's spans for this request join the
+    caller's trace.  With [FB_OBS=0] no header is sent.
 
     Callbacks run on the reader thread: keep them quick, and never call
     back into the same [Mux.t] from one (an {!unsubscribe} from inside a
@@ -29,9 +39,24 @@
     reads the frame after the subscribe reply, so a push racing the
     subscription's acknowledgement cannot be dropped. *)
 
-type error = Client.error =
-  | Remote of Fb_core.Errors.t
-  | Transport of string
+type error =
+  | Remote of Fb_core.Errors.t  (** the verb failed server-side *)
+  | Transport of string         (** socket/framing failure; connection dead *)
+
+val error_to_string : error -> string
+(** Rendering for the CLI edge. *)
+
+val dial :
+  ?host:string ->
+  ?port:int ->
+  ?timeout_s:float ->
+  unit ->
+  (Unix.file_descr, error) result
+(** The deadline-bounded TCP dial underneath {!connect} — resolve,
+    non-blocking connect bounded by [timeout_s] ([<= 0.] disables),
+    [TCP_NODELAY]; on any failure the socket fd is closed before the
+    error is returned, so no descriptor leaks.  Exposed for callers
+    that speak raw {!Frame} I/O on the socket. *)
 
 type t
 
@@ -43,9 +68,11 @@ val connect :
   ?timeout_s:float ->
   unit ->
   (t, error) result
-(** Same defaults and dial policy as {!Client.connect}
-    ({!Client.dial}).  [timeout_s] bounds the dial and every send;
-    receives block until the reply arrives or the connection dies. *)
+(** Defaults: host ["127.0.0.1"], port [7447], user ["anonymous"]
+    (sent with every request; the server applies it to access control
+    and authorship), [max_frame] {!Frame.default_max_frame}, [timeout_s]
+    [30.].  [timeout_s] bounds the {!dial} and every send; receives block
+    until the reply arrives or the connection dies. *)
 
 val is_open : t -> bool
 
@@ -56,12 +83,18 @@ val close : t -> unit
 (** {1 Blocking calls} *)
 
 val request : ?user:string -> t -> string list -> (string, error) result
-(** One verb, pipelined under the hood; blocks for this request's reply
-    only.  Stamps the calling thread's trace context like
-    {!Client.request}. *)
+(** [request t (verb :: args)] — one round trip, pipelined under the
+    hood; blocks for this request's reply only.  [Ok payload] on
+    success; [Error (Remote e)] carries the server's typed error
+    (missing key, permission, conflict, …). *)
 
 val batch :
   ?user:string -> t -> string list list -> (Frame.reply list, error) result
+(** One frame carrying N sub-requests, answered by N in-order replies —
+    executed server-side under a single lock acquisition.  Sub-request
+    failures are per-reply ([Error] entries in the returned list) and do
+    not abort the rest of the batch; only transport-level failures
+    return [Error] at the outer level. *)
 
 (** {1 Split issue/completion} *)
 
@@ -86,8 +119,8 @@ val subscribe :
     ["*"] — everything) and return its subscription id.  The callback
     fires on the reader thread for every matching head movement, with
     the writer's trace header when the mutating request was traced.
-    Requires an event-mode server ({!Server}); a threaded server answers
-    with a typed [Remote] error. *)
+    The server holds the registration until {!unsubscribe} or the
+    connection closes. *)
 
 val unsubscribe : ?user:string -> t -> int -> (unit, error) result
 (** Deregister: local deliveries stop immediately, the server-side

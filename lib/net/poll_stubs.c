@@ -1,6 +1,6 @@
 /* poll(2) binding for the event-loop server.
  *
- * Unix.select cannot register file descriptors numbered >= FD_SETSIZE
+ * select(2) cannot register file descriptors numbered >= FD_SETSIZE
  * (1024 on Linux), which caps a select-driven loop far below the fd
  * budget the process actually has.  poll has no such limit: interest is
  * an array of (fd, events), sized by the caller.

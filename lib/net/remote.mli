@@ -42,7 +42,7 @@ val connect :
   ?timeout_s:float ->
   unit ->
   (t, Fb_core.Errors.t) result
-(** Same defaults as {!Client.connect}. *)
+(** Same defaults as {!Mux.connect}. *)
 
 val close : t -> unit
 val is_open : t -> bool
@@ -137,7 +137,7 @@ type sub_event =
     (** The connection died and was re-dialed: pushes may have been
         missed.  [resubscribed = true] means deliveries resume on the
         new connection; [false] means re-registration failed (e.g. the
-        server came back in threaded mode) and the monitor will try
+        server refused it) and the monitor will try
         again on the next reconnect.  Callers that must not miss a
         movement should re-read the heads they track on [Gap]. *)
 
@@ -145,8 +145,8 @@ val subscribe :
   ?user:string -> ?key:string -> ?branch:string ->
   t -> (Fb_core.Forkbase.head_event -> unit) ->
   (subscription, Fb_core.Errors.t) result
-(** [key]/[branch] omitted (or ["*"]) match everything.  A threaded-mode
-    server answers [Error (Invalid _)].  Gap markers are dropped; use
+(** [key]/[branch] omitted (or ["*"]) match everything.  Gap markers
+    are dropped; use
     {!subscribe_events} to observe them. *)
 
 val subscribe_events :

@@ -3,8 +3,6 @@ module Errors = Fb_core.Errors
 module Forkbase = Fb_core.Forkbase
 module Obs = Fb_obs.Obs
 
-type mode = [ `Event | `Threaded ]
-
 type config = {
   host : string;
   port : int;
@@ -13,11 +11,9 @@ type config = {
   read_timeout_s : float;
   save_every_s : float;
   default_user : string;
-  concurrency : [ `Striped | `Coarse ];
   stripes : int;
   metrics_port : int option;
   slow_ms : float;
-  mode : mode;
   workers : int;
   max_conns : int;
   max_outbox : int;
@@ -42,11 +38,9 @@ let default_config =
     read_timeout_s = 30.0;
     save_every_s = 5.0;
     default_user = "anonymous";
-    concurrency = `Striped;
     stripes = Rwlock.Striped.default_stripes;
     metrics_port = None;
     slow_ms = default_slow_ms;
-    mode = `Event;
     workers = 4;
     max_conns = 10_000;
     max_outbox = 4 * 1024 * 1024;
@@ -140,13 +134,11 @@ type t = {
   locks : Rwlock.Striped.t;
   state : Mutex.t;    (* guards the mutable fields below *)
   mutable running : bool;
-  mutable conns_threaded : (int * Unix.file_descr) list;
   mutable next_id : int;
-  mutable accept_thread : Thread.t option;
   mutable saver_thread : Thread.t option;
   mutable metrics_http : Http.t option;
   mutable slow_traces : slow_trace list;  (* newest first, bounded *)
-  ev : event_state option;  (* Some iff cfg.mode = `Event *)
+  ev : event_state;
 }
 
 (* ------------------------- metrics ------------------------- *)
@@ -209,17 +201,12 @@ let do_save t =
 let lock_mode = function Service.Read -> `Read | Service.Write -> `Write
 
 (* One lock acquisition for the whole request, shaped by the verb
-   classification.  [`Coarse] degrades every request to a global
-   exclusive section — kept selectable so the scaling benchmark (and a
-   worried operator) can A/B the two. *)
+   classification. *)
 let locked t ~access ~scope f =
-  match t.cfg.concurrency with
-  | `Coarse -> Rwlock.Striped.with_global t.locks ~mode:`Write f
-  | `Striped -> (
-    let mode = lock_mode access in
-    match scope with
-    | Service.Key key -> Rwlock.Striped.with_key t.locks ~mode key f
-    | Service.Global -> Rwlock.Striped.with_global t.locks ~mode f)
+  let mode = lock_mode access in
+  match scope with
+  | Service.Key key -> Rwlock.Striped.with_key t.locks ~mode key f
+  | Service.Global -> Rwlock.Striped.with_global t.locks ~mode f
 
 (* A batch runs under a single acquisition covering every sub-request:
    exclusive if any sub-request mutates, one stripe when all sub-requests
@@ -302,9 +289,8 @@ let record_slow t ~verb ~user ~ms trace_ref =
 (* ------------------------- request processing ------------------------- *)
 
 (* Execute one decoded request and produce the encoded response payload,
-   echoing the request's sequence id.  Transport-free: the threaded
-   engine runs it on the connection thread, the event engine on a worker
-   thread — in both cases under the striped rwlocks. *)
+   echoing the request's sequence id.  Transport-free: it runs on a
+   worker thread, under the striped rwlocks. *)
 let process t ~user ~trace ~seq req =
   let user = if user = "" then t.cfg.default_user else user in
   let ctx = span_ctx trace in
@@ -374,21 +360,6 @@ let subscription_of_tokens tokens =
         (if branch = "*" then None else Some branch) )
   | _ -> Error (Errors.Invalid "usage: subscribe [key|*] [branch|*]")
 
-(* ------------------------- threaded engine ------------------------- *)
-
-(* Best-effort error/result write; [false] means the peer is gone (or
-   wedged past the deadline) and the connection loop should end.  The
-   read deadline doubles as the write deadline: a peer that stops
-   draining its socket cannot pin a connection thread forever. *)
-let respond t fd resp =
-  let timeout_s =
-    if t.cfg.read_timeout_s > 0.0 then Some t.cfg.read_timeout_s else None
-  in
-  match Frame.write_frame ?timeout_s fd resp with
-  | Ok () -> true
-  | Error _ -> false
-  | exception Unix.Unix_error _ -> false
-
 let is_conn_verb req =
   match req with
   | Frame.Single (v :: _) -> (
@@ -396,98 +367,6 @@ let is_conn_verb req =
     | "subscribe" | "unsubscribe" -> true
     | _ -> false)
   | _ -> false
-
-let serve_request_threaded t fd payload =
-  Obs.incr frames_total;
-  match Frame.decode_request payload with
-  | Error e ->
-    Obs.incr proto_errors;
-    (* Frame boundaries are intact, only this payload was bad: answer and
-       keep the connection. *)
-    respond t fd
-      (Frame.encode_response
-         (Frame.One (Error (Errors.Invalid ("bad request: " ^ e)))))
-  | Ok (_, _, seq, req) when is_conn_verb req ->
-    (* The threaded engine has no push path: every thread blocks in read
-       between requests, so there is nowhere to deliver events from. *)
-    respond t fd
-      (Frame.encode_response ?seq
-         (Frame.One
-            (Error
-               (Errors.Invalid
-                  "subscribe requires the event-loop server (serving \
-                   --threaded)"))))
-  | Ok (user, trace, seq, req) -> respond t fd (process t ~user ~trace ~seq req)
-
-let handle_conn t id fd =
-  Obs.incr conns_total;
-  let timeout_s =
-    if t.cfg.read_timeout_s > 0.0 then Some t.cfg.read_timeout_s else None
-  in
-  let rec loop () =
-    match Frame.read_frame ~max_frame:t.cfg.max_frame ?timeout_s fd with
-    | Ok payload -> if serve_request_threaded t fd payload then loop ()
-    | Error Frame.Eof -> ()
-    | Error Frame.Timeout ->
-      Obs.incr proto_errors;
-      ignore
-        (respond t fd
-           (Frame.encode_response
-              (Frame.One
-                 (Error (Errors.Transient "read timeout: closing connection")))))
-    | Error (Frame.Too_large _ as e) | Error (Frame.Malformed _ as e) ->
-      (* The length prefix was consumed without its payload: the stream
-         is desynchronized beyond repair — report and hang up. *)
-      Obs.incr proto_errors;
-      ignore
-        (respond t fd
-           (Frame.encode_response
-              (Frame.One (Error (Errors.Invalid (Frame.error_to_string e))))))
-    | exception Unix.Unix_error _ -> Obs.incr proto_errors
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      shutdown_quiet fd;
-      close_quiet fd;
-      Mutex.protect t.state (fun () ->
-          t.conns_threaded <-
-            List.filter (fun (i, _) -> i <> id) t.conns_threaded))
-    loop
-
-let accept_loop_threaded t =
-  let rec go () =
-    if is_running t then
-      match Unix.accept t.listen_fd with
-      | fd, _ ->
-        (try Unix.setsockopt fd Unix.TCP_NODELAY true
-         with Unix.Unix_error _ -> ());
-        let over =
-          Mutex.protect t.state (fun () ->
-              List.length t.conns_threaded >= t.cfg.max_conns)
-        in
-        if over then begin
-          (* Thread budget protection: beyond max_conns each connection
-             would cost another stack; shed instead of wedging. *)
-          Obs.incr conns_shed_total;
-          close_quiet fd
-        end
-        else begin
-          let id =
-            Mutex.protect t.state (fun () ->
-                let id = t.next_id in
-                t.next_id <- id + 1;
-                t.conns_threaded <- (id, fd) :: t.conns_threaded;
-                id)
-          in
-          ignore (Thread.create (fun () -> handle_conn t id fd) ())
-        end;
-        go ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-      | exception Unix.Unix_error _ ->
-        (* Listener closed: shutdown in progress. *)
-        ()
-  in
-  go ()
 
 (* ------------------------- event-loop engine ------------------------- *)
 
@@ -955,44 +834,33 @@ type loop_stats = {
   ls_subscriptions : int;
 }
 
+let worker_queue_depth st =
+  Mutex.protect st.jobs_mu (fun () -> Queue.length st.jobs)
+
 let loop_stats t =
-  match t.ev with
-  | None -> None
-  | Some st ->
-    Some
-      { ls_conns = Atomic.get st.open_conns;
-        ls_outbox_hwm = Atomic.get st.outbox_hwm;
-        ls_worker_queue =
-          Mutex.protect st.jobs_mu (fun () -> Queue.length st.jobs);
-        ls_subscriptions =
-          (* loop-owned table; a racy size read is fine for telemetry *)
-          Hashtbl.length st.subs }
+  let st = t.ev in
+  { ls_conns = Atomic.get st.open_conns;
+    ls_outbox_hwm = Atomic.get st.outbox_hwm;
+    ls_worker_queue = worker_queue_depth st;
+    ls_subscriptions =
+      (* loop-owned table; a racy size read is fine for telemetry *)
+      Hashtbl.length st.subs }
 
-let active_conns t =
-  match t.ev with
-  | Some st -> Atomic.get st.open_conns
-  | None -> Mutex.protect t.state (fun () -> List.length t.conns_threaded)
-
+(* ["mode":"event"] is kept for scrapers written when a second engine
+   existed. *)
 let healthz_body t =
-  let loop_fields =
-    match loop_stats t, t.ev with
-    | Some ls, Some st ->
-      Printf.sprintf
-        ",\"loop\":{\"backend\":\"%s\",\"connections\":%d,\
-         \"outbox_hwm_bytes\":%d,\"worker_queue_depth\":%d,\
-         \"subscriptions\":%d,\"workers\":%d}"
-        (Ev.backend_name st.ev) ls.ls_conns ls.ls_outbox_hwm
-        ls.ls_worker_queue ls.ls_subscriptions t.cfg.workers
-    | _ -> ""
-  in
+  let ls = loop_stats t in
   Printf.sprintf
-    "{\"status\":\"ok\",\"mode\":\"%s\",\"uptime_s\":%.1f,\
-     \"connections_active\":%d,\"port\":%d,\"slow_traces\":%d%s}"
-    (match t.cfg.mode with `Event -> "event" | `Threaded -> "threaded")
+    "{\"status\":\"ok\",\"mode\":\"event\",\"uptime_s\":%.1f,\
+     \"connections_active\":%d,\"port\":%d,\"slow_traces\":%d,\
+     \"loop\":{\"backend\":\"%s\",\"connections\":%d,\
+     \"outbox_hwm_bytes\":%d,\"worker_queue_depth\":%d,\
+     \"subscriptions\":%d,\"workers\":%d}}"
     (Unix.gettimeofday () -. t.started_at)
-    (active_conns t) t.bound_port
+    ls.ls_conns t.bound_port
     (Mutex.protect t.state (fun () -> List.length t.slow_traces))
-    loop_fields
+    (Ev.backend_name t.ev.ev) ls.ls_conns ls.ls_outbox_hwm
+    ls.ls_worker_queue ls.ls_subscriptions t.cfg.workers
 
 let tracez_body t =
   let entries = Mutex.protect t.state (fun () -> t.slow_traces) in
@@ -1079,48 +947,38 @@ let start ?(config = default_config) ?save fb =
          worker thread, not kill the whole daemon. *)
       (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
        with Invalid_argument _ -> ());
-      let ev_state =
-        match config.mode with
-        | `Threaded -> None
-        | `Event ->
-          let wake_r, wake_w = Unix.pipe () in
-          Unix.set_nonblock wake_r;
-          Unix.set_nonblock wake_w;
-          Unix.set_nonblock fd;
-          Some
-            { ev = Ev.create (); conns = Hashtbl.create 256;
-              by_fd = Hashtbl.create 256; subs = Hashtbl.create 16;
-              next_sub = 1; last_sweep = 0.0;
-              wake_r; wake_w; jobs = Queue.create ();
-              jobs_mu = Mutex.create (); jobs_cond = Condition.create ();
-              done_mu = Mutex.create (); done_q = Queue.create ();
-              pushes = Queue.create (); open_conns = Atomic.make 0;
-              outbox_hwm = Atomic.make 0; loop_thread = None;
-              worker_threads = []; watch = None }
+      let wake_r, wake_w = Unix.pipe () in
+      Unix.set_nonblock wake_r;
+      Unix.set_nonblock wake_w;
+      Unix.set_nonblock fd;
+      let st =
+        { ev = Ev.create (); conns = Hashtbl.create 256;
+          by_fd = Hashtbl.create 256; subs = Hashtbl.create 16;
+          next_sub = 1; last_sweep = 0.0;
+          wake_r; wake_w; jobs = Queue.create ();
+          jobs_mu = Mutex.create (); jobs_cond = Condition.create ();
+          done_mu = Mutex.create (); done_q = Queue.create ();
+          pushes = Queue.create (); open_conns = Atomic.make 0;
+          outbox_hwm = Atomic.make 0; loop_thread = None;
+          worker_threads = []; watch = None }
       in
       let t =
         { cfg = config; fb; save; listen_fd = fd; bound_port;
           started_at = Unix.gettimeofday ();
           locks = Rwlock.Striped.create ~stripes:(max 1 config.stripes) ();
           state = Mutex.create ();
-          running = true; conns_threaded = []; next_id = 0;
-          accept_thread = None; saver_thread = None;
-          metrics_http = None; slow_traces = []; ev = ev_state }
+          running = true; next_id = 0; saver_thread = None;
+          metrics_http = None; slow_traces = []; ev = st }
       in
-      Obs.gauge "fb.net.connections_active" (fun () ->
-          float_of_int (active_conns t));
-      (match t.ev with
-       | None -> ()
-       | Some st ->
-         Obs.gauge "fb.net.loop.connections" (fun () ->
-             float_of_int (Atomic.get st.open_conns));
-         Obs.gauge "fb.net.loop.outbox_hwm_bytes" (fun () ->
-             float_of_int (Atomic.get st.outbox_hwm));
-         Obs.gauge "fb.net.loop.worker_queue_depth" (fun () ->
-             float_of_int
-               (Mutex.protect st.jobs_mu (fun () -> Queue.length st.jobs)));
-         Obs.gauge "fb.net.loop.subscriptions" (fun () ->
-             float_of_int (Hashtbl.length st.subs)));
+      let open_conns () = float_of_int (Atomic.get st.open_conns) in
+      Obs.gauge "fb.net.connections_active" open_conns;
+      Obs.gauge "fb.net.loop.connections" open_conns;
+      Obs.gauge "fb.net.loop.outbox_hwm_bytes" (fun () ->
+          float_of_int (Atomic.get st.outbox_hwm));
+      Obs.gauge "fb.net.loop.worker_queue_depth" (fun () ->
+          float_of_int (worker_queue_depth st));
+      Obs.gauge "fb.net.loop.subscriptions" (fun () ->
+          float_of_int (Hashtbl.length st.subs));
       (match config.metrics_port with
        | None -> ()
        | Some mport -> (
@@ -1131,35 +989,29 @@ let start ?(config = default_config) ?save fb =
               one that cannot serve telemetry should — log and go on. *)
            Obs.log_event ~fields:[ ("error", e) ] Obs.Error
              "metrics sidecar failed to start"));
-      (match t.ev with
-       | None -> t.accept_thread <- Some (Thread.create accept_loop_threaded t)
-       | Some st ->
-         (* Every branch-head movement — whoever caused it — funnels into
-            the loop, which fans it out to matching subscriptions. *)
-         st.watch <-
-           Some
-             (Forkbase.watch fb (fun ev ->
-                  let trace =
-                    Option.map
-                      (fun (c : Obs.context) ->
-                        { Frame.trace_id = c.trace_id;
-                          parent_span = c.span_id })
-                      (Obs.current_context ())
-                  in
-                  Mutex.protect st.done_mu (fun () ->
-                      Queue.push (ev, trace) st.pushes);
-                  wake st));
-         st.loop_thread <- Some (Thread.create (event_loop t st) ());
-         st.worker_threads <-
-           List.init (max 1 config.workers) (fun _ ->
-               Thread.create (worker_loop t st) ()));
+      (* Every branch-head movement — whoever caused it — funnels into
+         the loop, which fans it out to matching subscriptions. *)
+      st.watch <-
+        Some
+          (Forkbase.watch fb (fun ev ->
+               let trace =
+                 Option.map
+                   (fun (c : Obs.context) ->
+                     { Frame.trace_id = c.trace_id; parent_span = c.span_id })
+                   (Obs.current_context ())
+               in
+               Mutex.protect st.done_mu (fun () ->
+                   Queue.push (ev, trace) st.pushes);
+               wake st));
+      st.loop_thread <- Some (Thread.create (event_loop t st) ());
+      st.worker_threads <-
+        List.init (max 1 config.workers) (fun _ ->
+            Thread.create (worker_loop t st) ());
       if config.save_every_s > 0.0 && save <> None then
         t.saver_thread <- Some (Thread.create saver_loop t);
       Obs.log_event
         ~fields:
           [ ("host", config.host); ("port", string_of_int bound_port);
-            ("mode",
-             match config.mode with `Event -> "event" | `Threaded -> "threaded");
             ("metrics_port",
              match metrics_port t with
              | Some p -> string_of_int p
@@ -1179,42 +1031,23 @@ let stop t =
         r)
   in
   if was_running then begin
-    (match t.ev with
-     | None ->
-       (* Wake the accept loop, then kick every live connection: their
-          blocking reads see EOF and the threads unwind through their
-          [finally] (closing fds and deregistering themselves). *)
-       shutdown_quiet t.listen_fd;
-       close_quiet t.listen_fd;
-       List.iter
-         (fun (_, fd) -> shutdown_quiet fd)
-         (Mutex.protect t.state (fun () -> t.conns_threaded));
-       let deadline = Unix.gettimeofday () +. 5.0 in
-       while
-         Mutex.protect t.state (fun () -> t.conns_threaded <> [])
-         && Unix.gettimeofday () < deadline
-       do
-         Thread.delay 0.01
-       done;
-       (match t.accept_thread with Some th -> Thread.join th | None -> ())
-     | Some st ->
-       (* Detach the watch first: a late flush must not write into a
-          pipe we are about to close. *)
-       (match st.watch with
-        | Some w ->
-          Forkbase.unwatch t.fb w;
-          st.watch <- None
-        | None -> ());
-       wake st;
-       (match st.loop_thread with Some th -> Thread.join th | None -> ());
-       Mutex.protect st.jobs_mu (fun () ->
-           Condition.broadcast st.jobs_cond);
-       List.iter Thread.join st.worker_threads;
-       st.worker_threads <- [];
-       shutdown_quiet t.listen_fd;
-       close_quiet t.listen_fd;
-       close_quiet st.wake_r;
-       close_quiet st.wake_w);
+    let st = t.ev in
+    (* Detach the watch first: a late flush must not write into a pipe
+       we are about to close. *)
+    (match st.watch with
+     | Some w ->
+       Forkbase.unwatch t.fb w;
+       st.watch <- None
+     | None -> ());
+    wake st;
+    (match st.loop_thread with Some th -> Thread.join th | None -> ());
+    Mutex.protect st.jobs_mu (fun () -> Condition.broadcast st.jobs_cond);
+    List.iter Thread.join st.worker_threads;
+    st.worker_threads <- [];
+    shutdown_quiet t.listen_fd;
+    close_quiet t.listen_fd;
+    close_quiet st.wake_r;
+    close_quiet st.wake_w;
     (match t.saver_thread with Some th -> Thread.join th | None -> ());
     (match t.metrics_http with
      | Some http ->

@@ -1,12 +1,12 @@
 (* Framed wire protocol (v2: typed status + batching) and the
-   concurrently-readable TCP server/client/remote stack. *)
+   concurrently-readable TCP server/mux/remote stack. *)
 
 module FB = Fb_core.Forkbase
 module Errors = Fb_core.Errors
 module Persistent = Fb_core.Persistent
 module Value = Fb_types.Value
 module Frame = Fb_net.Frame
-module Client = Fb_net.Client
+module Mux = Fb_net.Mux
 module Remote = Fb_net.Remote
 module Server = Fb_net.Server
 
@@ -19,13 +19,7 @@ let ok_fb = function
   | Ok v -> v
   | Error e -> Alcotest.fail (Errors.to_string e)
 
-let ok_net = function
-  | Ok v -> v
-  | Error e -> Alcotest.fail e
-
-let ok_cl = function
-  | Ok v -> v
-  | Error e -> Alcotest.fail (Client.error_to_string e)
+let ok_cl = Tutil.ok_mux
 
 let with_temp_root f =
   let root =
@@ -36,17 +30,20 @@ let with_temp_root f =
     ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote root)))
     (fun () -> f root)
 
-(* No periodic saver and no fixed port: tests must not collide. *)
-let test_config =
-  { Server.default_config with port = 0; save_every_s = 0.0 }
+let test_config = Tutil.net_config
+let with_server = Tutil.with_server
 
-let with_server ?(config = test_config) ?save fb f =
-  let srv = ok_net (Server.start ~config ?save fb) in
-  Fun.protect ~finally:(fun () -> Server.stop srv) (fun () -> f srv)
+let with_client = Tutil.with_mux
 
-let with_client ?user srv f =
-  let c = ok_cl (Client.connect ?user ~port:(Server.port srv) ()) in
-  Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c)
+(* An untagged raw peer for the duration of [f]. *)
+let with_raw srv f =
+  let fd = Tutil.raw_connect (Server.port srv) in
+  Fun.protect ~finally:(fun () -> Tutil.close_quiet fd) (fun () -> f fd)
+
+let ok_raw = function
+  | Ok (Ok v) -> v
+  | Ok (Error e) -> Alcotest.fail (Errors.to_string e)
+  | Error e -> Alcotest.fail e
 
 (* ---------------- pure framing ---------------- *)
 
@@ -102,12 +99,7 @@ let qcheck_frame_roundtrip =
       | Ok (`Frame (p, _)) -> String.equal p payload
       | _ -> false)
 
-let request_gen =
-  let open QCheck.Gen in
-  let tokens = small_list (string_size (0 -- 100)) in
-  oneof
-    [ map (fun t -> Frame.Single t) tokens;
-      map (fun b -> Frame.Batch b) (small_list tokens) ]
+let request_gen = Tutil.request_gen
 
 let qcheck_request_roundtrip =
   QCheck.Test.make ~count:300 ~name:"request encode/decode round-trip"
@@ -117,18 +109,9 @@ let qcheck_request_roundtrip =
       | Ok (u, None, None, r) -> String.equal u user && r = req
       | _ -> false)
 
-(* The trace header (any trace-id bytes, any — including negative —
-   parent span id) must survive the envelope exactly, and its absence
+(* The trace header must survive the envelope exactly, and its absence
    must decode as [None]. *)
-let trace_gen =
-  QCheck.Gen.(
-    opt
-      (map2
-         (fun trace_id parent_span -> { Frame.trace_id; parent_span })
-         (string_size (0 -- 40))
-         (map2
-            (fun sign n -> if sign then n else -n - 1)
-            bool (int_bound ((1 lsl 30) - 1)))))
+let trace_gen = Tutil.trace_gen
 
 let qcheck_trace_roundtrip =
   QCheck.Test.make ~count:300 ~name:"trace header encode/decode round-trip"
@@ -157,6 +140,18 @@ let test_headerless_v2_compat () =
    | Ok ("alice", None, None, Frame.Single [ "get"; "k"; "master" ]) -> ()
    | Ok _ -> Alcotest.fail "header-less v2 frame misparsed"
    | Error e -> Alcotest.failf "header-less v2 frame rejected: %s" e);
+  (* A live server answers the same bytes, untagged. *)
+  let fb = FB.create (Fb_chunk.Mem_store.create ()) in
+  ignore (ok_fb (FB.put fb ~key:"k" (Value.string "v")));
+  with_server fb (fun srv ->
+      with_raw srv (fun fd ->
+          (match Frame.write_frame ~timeout_s:5.0 fd payload with
+           | Ok () -> ()
+           | Error e -> Alcotest.fail (Frame.error_to_string e));
+          match Tutil.raw_recv fd with
+          | Ok (None, Frame.One (Ok "v")) -> ()
+          | Ok _ -> Alcotest.fail "header-less v2 request misanswered"
+          | Error e -> Alcotest.fail e));
   (* And the flagged form decodes the header. *)
   let traced =
     to_string
@@ -255,36 +250,62 @@ let test_v1_frames_rejected () =
 
 (* ---------------- server round trips ---------------- *)
 
+(* The whole exchange runs on an untagged raw peer — the pre-pipelining
+   wire form, which the server answers strictly in order. *)
 let test_server_roundtrip () =
   let fb = FB.create (Fb_chunk.Mem_store.create ()) in
   with_server fb (fun srv ->
-      with_client srv (fun c ->
+      with_raw srv (fun fd ->
+          let call tokens = Tutil.raw_call fd tokens in
           (* Values with newlines and quotes survive framing verbatim —
              exactly what the line transport could not carry. *)
           let value = "line one\nline two \"quoted\"\nline three" in
-          let uid = ok_cl (Client.request c [ "put"; "k"; "master"; value ]) in
+          let uid = ok_raw (call [ "put"; "k"; "master"; value ]) in
           check bool_ "uid parses" true (Result.is_ok (FB.parse_version uid));
-          check string_ "get" value (ok_cl (Client.request c [ "get"; "k"; "master" ]));
-          check string_ "head" uid (ok_cl (Client.request c [ "head"; "k"; "master" ]));
-          ignore (ok_cl (Client.request c [ "branch"; "k"; "master"; "dev" ]));
-          ignore (ok_cl (Client.request c [ "put"; "k"; "dev"; "v2" ]));
-          ignore (ok_cl (Client.request c [ "merge"; "k"; "master"; "dev" ]));
-          check string_ "merged" "v2" (ok_cl (Client.request c [ "get"; "k"; "master" ]));
-          (* request_line tokenizes client-side. *)
-          check string_ "request_line" "v2"
-            (ok_cl (Client.request_line c "get k master"));
+          check string_ "get" value (ok_raw (call [ "get"; "k"; "master" ]));
+          check string_ "head" uid (ok_raw (call [ "head"; "k"; "master" ]));
+          ignore (ok_raw (call [ "branch"; "k"; "master"; "dev" ]));
+          ignore (ok_raw (call [ "put"; "k"; "dev"; "v2" ]));
+          ignore (ok_raw (call [ "merge"; "k"; "master"; "dev" ]));
+          check string_ "merged" "v2" (ok_raw (call [ "get"; "k"; "master" ]));
           (* Application errors come back typed; the connection stays up. *)
-          (match Client.request c [ "get"; "missing"; "master" ] with
-          | Error (Client.Remote (Errors.Key_not_found _ | Errors.Branch_not_found _)) -> ()
-          | Error e -> Alcotest.fail ("wrong error: " ^ Client.error_to_string e)
-          | Ok _ -> Alcotest.fail "missing key should fail");
-          (match Client.request c [ "frobnicate" ] with
-          | Error (Client.Remote (Errors.Invalid msg)) ->
+          (match call [ "get"; "missing"; "master" ] with
+          | Ok (Error (Errors.Key_not_found _ | Errors.Branch_not_found _)) ->
+            ()
+          | Ok (Error e) -> Alcotest.fail ("wrong error: " ^ Errors.to_string e)
+          | Ok (Ok _) -> Alcotest.fail "missing key should fail"
+          | Error e -> Alcotest.fail e);
+          (match call [ "frobnicate" ] with
+          | Ok (Error (Errors.Invalid msg)) ->
             check bool_ "bad verb" true (Tutil.contains msg "bad request")
-          | Error e -> Alcotest.fail ("wrong error: " ^ Client.error_to_string e)
-          | Ok _ -> Alcotest.fail "unknown verb accepted");
+          | Ok (Error e) -> Alcotest.fail ("wrong error: " ^ Errors.to_string e)
+          | Ok (Ok _) -> Alcotest.fail "unknown verb accepted"
+          | Error e -> Alcotest.fail e);
           check string_ "still alive" "v2"
-            (ok_cl (Client.request c [ "get"; "k"; "master" ]))))
+            (ok_raw (call [ "get"; "k"; "master" ]));
+          (* Untagged frames written back to back are answered in arrival
+             order, each reply untagged. *)
+          let script =
+            [ ([ "put"; "k"; "master"; "v3" ], fun r -> Result.is_ok r);
+              ([ "get"; "k"; "master" ], fun r -> r = Ok "v3");
+              ([ "get"; "missing"; "master" ], Result.is_error);
+              ([ "get"; "k"; "dev" ], fun r -> r = Ok "v2") ]
+          in
+          List.iter
+            (fun (tokens, _) ->
+              match Tutil.raw_send fd tokens with
+              | Ok () -> ()
+              | Error e -> Alcotest.fail e)
+            script;
+          List.iteri
+            (fun i (_, expect) ->
+              match Tutil.raw_recv fd with
+              | Ok (None, Frame.One r) ->
+                check bool_ (Printf.sprintf "reply %d in order" i) true
+                  (expect r)
+              | Ok _ -> Alcotest.fail "tagged or non-single reply"
+              | Error e -> Alcotest.fail e)
+            script))
 
 let test_batch_roundtrip () =
   let fb = FB.create (Fb_chunk.Mem_store.create ()) in
@@ -293,7 +314,7 @@ let test_batch_roundtrip () =
           (* Same-key batch: one stripe, one lock acquisition. *)
           let replies =
             ok_cl
-              (Client.batch c
+              (Mux.batch c
                  [ [ "put"; "k"; "master"; "v1" ];
                    [ "get"; "k"; "master" ];
                    [ "get"; "missing"; "master" ];
@@ -306,11 +327,11 @@ let test_batch_roundtrip () =
           (* The failing sub-request poisoned neither its batch nor the
              connection. *)
           check string_ "alive after partial failure" "v1"
-            (ok_cl (Client.request c [ "get"; "k"; "master" ]));
+            (ok_cl (Mux.request c [ "get"; "k"; "master" ]));
           (* Cross-key batch: the combined scope is global. *)
           (match
              ok_cl
-               (Client.batch c
+               (Mux.batch c
                   [ [ "put"; "a"; "master"; "1" ];
                     [ "put"; "b"; "master"; "2" ];
                     [ "get"; "a"; "master" ];
@@ -320,13 +341,13 @@ let test_batch_roundtrip () =
            | _ -> Alcotest.fail "cross-key batch failed");
           (* Read-only batch (shared lock path). *)
           (match
-             ok_cl (Client.batch c [ [ "get"; "a"; "master" ]; [ "list" ] ])
+             ok_cl (Mux.batch c [ [ "get"; "a"; "master" ]; [ "list" ] ])
            with
            | [ Ok "1"; Ok keys ] ->
              check bool_ "list sees keys" true (Tutil.contains keys "k")
            | _ -> Alcotest.fail "read-only batch failed");
           (* An empty batch is answered, emptily. *)
-          check int_ "empty batch" 0 (List.length (ok_cl (Client.batch c [])))))
+          check int_ "empty batch" 0 (List.length (ok_cl (Mux.batch c [])))))
 
 let test_remote_typed () =
   let fb = FB.create (Fb_chunk.Mem_store.create ()) in
@@ -348,6 +369,9 @@ let test_remote_typed () =
           ignore
             (ok_fb (Remote.merge r ~key:"k" ~into:"master" ~from_branch:"dev"));
           check string_ "merged" "v2" (ok_fb (Remote.get r ~key:"k"));
+          (* A request line tokenizes client-side. *)
+          check string_ "raw_line" "v2"
+            (ok_fb (Remote.raw_line r "get k master"));
           ok_fb
             (Remote.rename_branch r ~key:"k" ~from_branch:"dev"
                ~to_branch:"feature");
@@ -392,12 +416,13 @@ let test_server_user_identity () =
   let fb = FB.create (Fb_chunk.Mem_store.create ()) in
   with_server fb (fun srv ->
       with_client ~user:"alice" srv (fun c ->
-          ignore (ok_cl (Client.request c [ "put"; "k"; "master"; "v" ]));
-          let log = ok_cl (Client.request c [ "log"; "k"; "master" ]) in
+          ignore (ok_cl (Mux.request c [ "put"; "k"; "master"; "v" ]));
+          let log = ok_cl (Mux.request c [ "log"; "k"; "master" ]) in
           check bool_ "author recorded" true (Tutil.contains log "alice");
           (* Per-request override. *)
-          ignore (ok_cl (Client.request ~user:"bob" c [ "put"; "k"; "master"; "w" ]));
-          let log = ok_cl (Client.request c [ "log"; "k"; "master" ]) in
+          ignore
+            (ok_cl (Mux.request ~user:"bob" c [ "put"; "k"; "master"; "w" ]));
+          let log = ok_cl (Mux.request c [ "log"; "k"; "master" ]) in
           check bool_ "override recorded" true (Tutil.contains log "bob")))
 
 let test_server_durability () =
@@ -407,7 +432,7 @@ let test_server_durability () =
       let uid =
         with_server ~save fb (fun srv ->
             with_client srv (fun c ->
-                ok_cl (Client.request c [ "put"; "k"; "master"; "durable" ])))
+                ok_cl (Mux.request c [ "put"; "k"; "master"; "durable" ])))
       in
       (* with_server stopped the server; stop runs the final save, so a
          fresh instance sees the head. *)
@@ -418,31 +443,28 @@ let test_server_durability () =
 
 let test_server_shutdown () =
   let fb = FB.create (Fb_chunk.Mem_store.create ()) in
-  let srv = ok_net (Server.start ~config:test_config fb) in
+  let srv = Tutil.start_server fb in
   let port = Server.port srv in
-  let c = ok_cl (Client.connect ~port ()) in
-  ignore (ok_cl (Client.request c [ "put"; "k"; "master"; "v" ]));
+  let c = ok_cl (Mux.connect ~port ()) in
+  ignore (ok_cl (Mux.request c [ "put"; "k"; "master"; "v" ]));
   Server.stop srv;
   check bool_ "stopped" false (Server.is_running srv);
   (* The open connection was kicked. *)
-  check bool_ "old conn dead" true (Result.is_error (Client.request c [ "stat" ]));
-  Client.close c;
+  check bool_ "old conn dead" true (Result.is_error (Mux.request c [ "stat" ]));
+  Mux.close c;
   (* New connections are refused (or dead on arrival via the backlog). *)
-  (match Client.connect ~port ~timeout_s:1.0 () with
+  (match Mux.connect ~port ~timeout_s:1.0 () with
   | Error _ -> ()
   | Ok c2 ->
     check bool_ "no service after stop" true
-      (Result.is_error (Client.request c2 [ "stat" ]));
-    Client.close c2);
+      (Result.is_error (Mux.request c2 [ "stat" ]));
+    Mux.close c2);
   (* stop is idempotent. *)
   Server.stop srv
 
 (* ---------------- bad peers and failed connects ---------------- *)
 
-let raw_connect port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  fd
+let raw_connect = Tutil.raw_connect
 
 let test_slow_peer () =
   let fb = FB.create (Fb_chunk.Mem_store.create ()) in
@@ -494,22 +516,22 @@ let test_max_frame () =
   let fb = FB.create (Fb_chunk.Mem_store.create ()) in
   let config = { test_config with max_frame = 256 } in
   with_server ~config fb (fun srv ->
-      let c = ok_cl (Client.connect ~port:(Server.port srv) ()) in
-      Fun.protect
-        ~finally:(fun () -> Client.close c)
-        (fun () ->
-          (match Client.request c [ "put"; "k"; "master"; String.make 4096 'x' ] with
-          | Error (Client.Remote (Errors.Invalid msg)) ->
+      with_raw srv (fun fd ->
+          (match
+             Tutil.raw_call fd [ "put"; "k"; "master"; String.make 4096 'x' ]
+           with
+          | Ok (Error (Errors.Invalid msg)) ->
             check bool_ "too large" true (Tutil.contains msg "large")
-          | Error e -> Alcotest.fail ("wrong error: " ^ Client.error_to_string e)
-          | Ok _ -> Alcotest.fail "oversize frame accepted");
+          | Ok (Error e) -> Alcotest.fail ("wrong error: " ^ Errors.to_string e)
+          | Ok (Ok _) -> Alcotest.fail "oversize frame accepted"
+          | Error e -> Alcotest.fail e);
           (* The stream was desynchronized: the server hung up. *)
           check bool_ "connection closed" true
-            (Result.is_error (Client.request c [ "stat" ]))));
+            (Result.is_error (Tutil.raw_call fd [ "stat" ]))));
   (* A small-but-legal request still works under the same limit. *)
   with_server ~config fb (fun srv ->
       with_client srv (fun c ->
-          ignore (ok_cl (Client.request c [ "put"; "k"; "master"; "small" ]))))
+          ignore (ok_cl (Mux.request c [ "put"; "k"; "master"; "small" ]))))
 
 let count_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
@@ -525,9 +547,9 @@ let test_connect_failure_leaks_no_fd () =
   Unix.close s;
   let before = count_fds () in
   for _ = 1 to 20 do
-    match Client.connect ~port ~timeout_s:0.5 () with
+    match Mux.connect ~port ~timeout_s:0.5 () with
     | Error _ -> ()
-    | Ok c -> Client.close c (* something raced onto the port; still no leak *)
+    | Ok c -> Mux.close c (* something raced onto the port; still no leak *)
   done;
   check int_ "no fd leaked by failed connects" before (count_fds ())
 
@@ -564,32 +586,32 @@ let test_soak () =
         Printf.ksprintf (fun s -> Atomic.incr errors; prerr_endline s) fmt
       in
       let worker cid () =
-        match Client.connect ~port ~user:(Printf.sprintf "u%d" cid) () with
-        | Error e -> fail "c%d connect: %s" cid (Client.error_to_string e)
+        match Mux.connect ~port ~user:(Printf.sprintf "u%d" cid) () with
+        | Error e -> fail "c%d connect: %s" cid (Mux.error_to_string e)
         | Ok c ->
           let key = Printf.sprintf "k%d" cid in
           for i = 0 to iterations - 1 do
             let v = Printf.sprintf "%d-%d\npayload line" cid i in
-            (match Client.request c [ "put"; key; "master"; v ] with
+            (match Mux.request c [ "put"; key; "master"; v ] with
             | Ok _ -> ()
-            | Error e -> fail "c%d put %d: %s" cid i (Client.error_to_string e));
-            (match Client.request c [ "get"; key; "master" ] with
+            | Error e -> fail "c%d put %d: %s" cid i (Mux.error_to_string e));
+            (match Mux.request c [ "get"; key; "master" ] with
             | Ok got when got = v -> ()
             | Ok got -> fail "c%d get %d: corrupt %S" cid i got
-            | Error e -> fail "c%d get %d: %s" cid i (Client.error_to_string e));
+            | Error e -> fail "c%d get %d: %s" cid i (Mux.error_to_string e));
             if i mod 5 = 0 then begin
               let b = Printf.sprintf "dev%d" i in
-              (match Client.request c [ "branch"; key; "master"; b ] with
+              (match Mux.request c [ "branch"; key; "master"; b ] with
               | Ok _ -> ()
               | Error e ->
-                fail "c%d branch %d: %s" cid i (Client.error_to_string e));
-              match Client.request c [ "merge"; key; "master"; b ] with
+                fail "c%d branch %d: %s" cid i (Mux.error_to_string e));
+              match Mux.request c [ "merge"; key; "master"; b ] with
               | Ok _ -> ()
               | Error e ->
-                fail "c%d merge %d: %s" cid i (Client.error_to_string e)
+                fail "c%d merge %d: %s" cid i (Mux.error_to_string e)
             end
           done;
-          Client.close c
+          Mux.close c
       in
       (* A byte-at-a-time peer runs alongside the fleet; everyone must
          still complete without corruption. *)
@@ -651,32 +673,32 @@ let test_mixed_soak () =
           for w = 0 to writers - 1 do
             ignore
               (ok_cl
-                 (Client.request c
+                 (Mux.request c
                     [ "put"; Printf.sprintf "w%d" w; "master"; "0" ]))
           done);
       let writers_done = Atomic.make 0 in
       let writer wid () =
-        (match Client.connect ~port () with
-        | Error e -> fail "w%d connect: %s" wid (Client.error_to_string e)
+        (match Mux.connect ~port () with
+        | Error e -> fail "w%d connect: %s" wid (Mux.error_to_string e)
         | Ok c ->
           let key = Printf.sprintf "w%d" wid in
           for i = 1 to writes do
-            match Client.request c [ "put"; key; "master"; string_of_int i ] with
+            match Mux.request c [ "put"; key; "master"; string_of_int i ] with
             | Ok _ -> ()
-            | Error e -> fail "w%d put %d: %s" wid i (Client.error_to_string e)
+            | Error e -> fail "w%d put %d: %s" wid i (Mux.error_to_string e)
           done;
-          Client.close c);
+          Mux.close c);
         Atomic.incr writers_done
       in
       let reader rid () =
-        match Client.connect ~port () with
-        | Error e -> fail "r%d connect: %s" rid (Client.error_to_string e)
+        match Mux.connect ~port () with
+        | Error e -> fail "r%d connect: %s" rid (Mux.error_to_string e)
         | Ok c ->
           let key = Printf.sprintf "w%d" (rid mod writers) in
           let last = ref (-1) in
           let observed = ref 0 in
           while Atomic.get writers_done < writers do
-            (match Client.request c [ "get"; key; "master" ] with
+            (match Mux.request c [ "get"; key; "master" ] with
             | Ok v -> (
               incr observed;
               match int_of_string_opt v with
@@ -685,10 +707,10 @@ let test_mixed_soak () =
                 if n < !last then
                   fail "r%d head went backwards: %d after %d" rid n !last;
                 last := n)
-            | Error e -> fail "r%d get: %s" rid (Client.error_to_string e))
+            | Error e -> fail "r%d get: %s" rid (Mux.error_to_string e))
           done;
           if !observed = 0 then fail "r%d observed nothing" rid;
-          Client.close c
+          Mux.close c
       in
       let threads =
         List.init writers (fun w -> Thread.create (writer w) ())
@@ -720,7 +742,7 @@ let test_trace_propagation () =
   let fb = FB.create (Fb_chunk.Mem_store.create ()) in
   with_server fb (fun srv ->
       with_client srv (fun c ->
-          ignore (ok_cl (Client.request c [ "put"; "k"; "master"; "v" ]))));
+          ignore (ok_cl (Mux.request c [ "put"; "k"; "master"; "v" ]))));
   let spans = Obs.spans () in
   match span_named "net.client.request" spans,
         span_named "net.server.request" spans with
@@ -756,12 +778,12 @@ let test_batch_trace_spans () =
   with_server fb (fun srv ->
       with_client srv (fun c ->
           match
-            Client.batch c
+            Mux.batch c
               [ [ "put"; "k"; "master"; "v1" ]; [ "get"; "k"; "master" ] ]
           with
           | Ok [ Ok _; Ok "v1" ] -> ()
           | Ok _ -> Alcotest.fail "unexpected batch replies"
-          | Error e -> Alcotest.fail (Client.error_to_string e)));
+          | Error e -> Alcotest.fail (Mux.error_to_string e)));
   let spans = Obs.spans () in
   match span_named "net.client.batch" spans,
         span_named "net.server.batch" spans with
@@ -790,29 +812,8 @@ let test_batch_trace_spans () =
     Alcotest.failf "expected 1 client + 1 server batch span, got %d + %d"
       (List.length cl) (List.length sv)
 
-let http_get port path =
-  let fd = raw_connect port in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      let req = Printf.sprintf "GET %s HTTP/1.0\r\n\r\n" path in
-      ignore (Unix.write_substring fd req 0 (String.length req));
-      let buf = Buffer.create 1024 in
-      let chunk = Bytes.create 4096 in
-      let rec drain () =
-        match Unix.read fd chunk 0 4096 with
-        | 0 -> ()
-        | n ->
-          Buffer.add_subbytes buf chunk 0 n;
-          drain ()
-      in
-      drain ();
-      Buffer.contents buf)
-
-let status_of reply =
-  match String.index_opt reply ' ' with
-  | Some i when String.length reply >= i + 4 -> String.sub reply (i + 1) 3
-  | _ -> "???"
+let http_get = Tutil.http_get
+let status_of = Tutil.status_of
 
 let test_metrics_sidecar () =
   let fb = FB.create (Fb_chunk.Mem_store.create ()) in
@@ -824,7 +825,7 @@ let test_metrics_sidecar () =
         | None -> Alcotest.fail "sidecar did not start"
       in
       with_client srv (fun c ->
-          ignore (ok_cl (Client.request c [ "put"; "k"; "master"; "v" ])));
+          ignore (ok_cl (Mux.request c [ "put"; "k"; "master"; "v" ])));
       let metrics = http_get mport "/metrics" in
       check string_ "metrics 200" "200" (status_of metrics);
       check bool_ "prometheus exposition has the frame counter" true
@@ -854,7 +855,7 @@ let test_slow_request_log () =
   let config = { test_config with slow_ms = 0.0 } in
   with_server ~config fb (fun srv ->
       with_client srv (fun c ->
-          ignore (ok_cl (Client.request c [ "put"; "k"; "master"; "v" ])));
+          ignore (ok_cl (Mux.request c [ "put"; "k"; "master"; "v" ])));
       check bool_ "slow ring captured the request" true
         (Server.slow_trace_count srv > 0));
   let warns =
@@ -872,6 +873,133 @@ let test_slow_request_log () =
     check bool_ "event carries a trace id" true (String.length trace = 32);
     check bool_ "span tree renders for that trace" true
       (Tutil.contains (Obs.render_trace trace) "net.server.request")
+
+(* ---------------- hostile input ---------------- *)
+
+(* Valid wire payloads of every shape the protocol carries: requests
+   (single, batch, traced, sequence-tagged) and responses (typed ok and
+   error replies, batches, pushed events). *)
+let valid_payload_gen =
+  let open QCheck.Gen in
+  let seq = Tutil.seq_gen in
+  oneof
+    [ map4 (fun user trace seq -> Frame.encode_request ~user ?trace ?seq)
+        (string_size (0 -- 24)) trace_gen seq request_gen;
+      map3 (fun trace seq -> Frame.encode_response ?trace ?seq)
+        trace_gen seq
+        (oneof [ response_gen; map (fun e -> Frame.Event e) Tutil.event_gen ]) ]
+
+(* Damage a byte string: truncate it, overwrite 1-3 bytes, or replace it
+   with random bytes. *)
+let damage_gen payload =
+  let open QCheck.Gen in
+  let n = String.length payload in
+  let mutate =
+    map
+      (fun edits ->
+        let b = Bytes.of_string payload in
+        List.iter (fun (i, c) -> if n > 0 then Bytes.set b (i mod n) c) edits;
+        Bytes.to_string b)
+      (list_size (1 -- 3) (pair nat char))
+  in
+  oneof
+    [ map (fun k -> String.sub payload 0 (if n = 0 then 0 else k mod n)) nat;
+      mutate;
+      string_size (0 -- 64) ]
+
+let damaged_gen =
+  let open QCheck.Gen in
+  valid_payload_gen >>= fun p ->
+  oneof [ damage_gen p; map Frame.encode_frame (damage_gen p);
+          damage_gen (Frame.encode_frame p) ]
+
+let qcheck_decoders_total =
+  QCheck.Test.make ~count:10_000
+    ~name:"frame decoders never raise on damaged input"
+    (QCheck.make ~print:String.escaped damaged_gen)
+    (fun bytes ->
+      let total f = match f () with _ -> true | exception _ -> false in
+      total (fun () -> Frame.decode_frame ~max_frame:4096 bytes)
+      && total (fun () -> Frame.decode_request bytes)
+      && total (fun () -> Frame.decode_response bytes))
+
+(* The live counterpart: damaged frames on raw sockets get a typed reply
+   or a hang-up (never silence past the idle deadline), and the server
+   keeps serving fresh connections.  Each case is replayable from its
+   seed. *)
+let test_damaged_frames_live () =
+  let fb = FB.create (Fb_chunk.Mem_store.create ()) in
+  let config = { test_config with read_timeout_s = 0.3; max_frame = 4096 } in
+  with_server ~config fb (fun srv ->
+      let seeds = List.init 48 (fun i -> 1000 + i) in
+      let cases =
+        List.map
+          (fun seed ->
+            let rand = Random.State.make [| seed |] in
+            let wire =
+              QCheck.Gen.generate1 ~rand
+                QCheck.Gen.(valid_payload_gen >>= fun p ->
+                            damage_gen (Frame.encode_frame p))
+            in
+            let fd = raw_connect (Server.port srv) in
+            (try ignore (Unix.write_substring fd wire 0 (String.length wire))
+             with Unix.Unix_error _ -> ());
+            (seed, fd))
+          seeds
+      in
+      List.iter
+        (fun (seed, fd) ->
+          Fun.protect
+            ~finally:(fun () -> Tutil.close_quiet fd)
+            (fun () ->
+              match Frame.read_frame ~timeout_s:5.0 fd with
+              | Ok payload ->
+                check bool_
+                  (Printf.sprintf "seed %d: reply decodes" seed)
+                  true
+                  (Result.is_ok (Frame.decode_response payload))
+              | Error Frame.Eof -> ()
+              | Error e ->
+                Alcotest.failf "seed %d: %s" seed (Frame.error_to_string e)
+              | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _)
+                -> ()))
+        cases;
+      with_client srv (fun c ->
+          ignore (ok_cl (Mux.request c [ "put"; "after"; "master"; "v" ]));
+          check string_ "served after hostile peers" "v"
+            (ok_cl (Mux.request c [ "get"; "after"; "master" ]))))
+
+(* Descriptor numbers above FD_SETSIZE (1024): every timed wait in the
+   wire layer must still work, so a busy server keeps its telemetry and
+   its clients can still dial with a deadline. *)
+let test_high_fd_numbers () =
+  let held = ref [] in
+  let rec hold () =
+    let fd = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+    held := fd :: !held;
+    if Fb_net.Ev.fd_int fd <= 1024 then hold ()
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter Tutil.close_quiet !held)
+    (fun () ->
+      hold ();
+      let fb = FB.create (Fb_chunk.Mem_store.create ()) in
+      let config = { test_config with metrics_port = Some 0 } in
+      with_server ~config fb (fun srv ->
+          let c =
+            ok_cl (Mux.connect ~port:(Server.port srv) ~timeout_s:5.0 ())
+          in
+          Fun.protect
+            ~finally:(fun () -> Mux.close c)
+            (fun () ->
+              ignore (ok_cl (Mux.request c [ "put"; "k"; "master"; "v" ]));
+              check string_ "get over a high fd" "v"
+                (ok_cl (Mux.request c [ "get"; "k"; "master" ])));
+          match Server.metrics_port srv with
+          | None -> Alcotest.fail "sidecar did not start"
+          | Some mport ->
+            check string_ "healthz 200 over high fds" "200"
+              (status_of (http_get mport "/healthz"))))
 
 let suite =
   [ Alcotest.test_case "frame round-trip" `Quick test_frame_roundtrip;
@@ -905,4 +1033,9 @@ let suite =
       test_trace_propagation;
     Alcotest.test_case "batch sub-request spans" `Quick test_batch_trace_spans;
     Alcotest.test_case "metrics sidecar" `Quick test_metrics_sidecar;
-    Alcotest.test_case "slow request log" `Quick test_slow_request_log ]
+    Alcotest.test_case "slow request log" `Quick test_slow_request_log;
+    QCheck_alcotest.to_alcotest qcheck_decoders_total;
+    Alcotest.test_case "damaged frames on live sockets" `Quick
+      test_damaged_frames_live;
+    Alcotest.test_case "descriptors above FD_SETSIZE" `Quick
+      test_high_fd_numbers ]

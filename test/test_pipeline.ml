@@ -5,7 +5,6 @@
 module FB = Fb_core.Forkbase
 module Errors = Fb_core.Errors
 module Frame = Fb_net.Frame
-module Client = Fb_net.Client
 module Mux = Fb_net.Mux
 module Remote = Fb_net.Remote
 module Server = Fb_net.Server
@@ -20,24 +19,11 @@ let ok_fb = function
   | Ok v -> v
   | Error e -> Alcotest.fail (Errors.to_string e)
 
-let ok_net = function
-  | Ok v -> v
-  | Error e -> Alcotest.fail e
+let ok_cl = Tutil.ok_mux
+let test_config = Tutil.net_config
+let with_server = Tutil.with_server
 
-let ok_cl = function
-  | Ok v -> v
-  | Error e -> Alcotest.fail (Client.error_to_string e)
-
-let test_config =
-  { Server.default_config with port = 0; save_every_s = 0.0 }
-
-let with_server ?(config = test_config) fb f =
-  let srv = ok_net (Server.start ~config fb) in
-  Fun.protect ~finally:(fun () -> Server.stop srv) (fun () -> f srv)
-
-let with_mux ?user srv f =
-  let m = ok_cl (Mux.connect ?user ~port:(Server.port srv) ()) in
-  Fun.protect ~finally:(fun () -> Mux.close m) (fun () -> f m)
+let with_mux = Tutil.with_mux
 
 (* Wait (bounded) for a cross-thread condition instead of sleeping a
    fixed amount: push delivery is asynchronous by design. *)
@@ -55,23 +41,9 @@ let eventually ?(timeout = 5.0) pred =
 
 (* ---------------- sequence-id codec ---------------- *)
 
-let request_gen =
-  let open QCheck.Gen in
-  let tokens = small_list (string_size (0 -- 100)) in
-  oneof
-    [ map (fun t -> Frame.Single t) tokens;
-      map (fun b -> Frame.Batch b) (small_list tokens) ]
-
-let trace_gen =
-  QCheck.Gen.(
-    opt
-      (map2
-         (fun trace_id parent_span -> { Frame.trace_id; parent_span })
-         (string_size (0 -- 40))
-         (map2 (fun sign n -> if sign then n else -n - 1) bool
-            (int_bound ((1 lsl 30) - 1)))))
-
-let seq_gen = QCheck.Gen.(opt (int_bound ((1 lsl 30) - 1)))
+let request_gen = Tutil.request_gen
+let trace_gen = Tutil.trace_gen
+let seq_gen = Tutil.seq_gen
 
 (* Any combination of the two optional headers — absent, trace only, seq
    only, both — must round-trip exactly; the flag bits are independent. *)
@@ -106,13 +78,7 @@ let qcheck_response_seq_roundtrip =
       | Ok (t, s, Frame.One r) -> t = trace && s = seq && r = reply
       | _ -> false)
 
-let event_gen =
-  let open QCheck.Gen in
-  let s = string_size (0 -- 40) in
-  map
-    (fun (sub_id, ev_key, ev_branch, (new_head, old_head)) ->
-      { Frame.sub_id; ev_key; ev_branch; new_head; old_head })
-    (quad (int_bound ((1 lsl 30) - 1)) s s (pair s (opt s)))
+let event_gen = Tutil.event_gen
 
 let qcheck_event_roundtrip =
   QCheck.Test.make ~count:300 ~name:"event frame encode/decode round-trip"
@@ -236,7 +202,7 @@ let test_unknown_sequence_rejected () =
              check bool_ "names the violation" true
                (Tutil.contains msg "unknown sequence")
            | Ok _ -> Alcotest.fail "stray-tagged reply accepted"
-           | Error e -> Alcotest.fail (Client.error_to_string e));
+           | Error e -> Alcotest.fail (Mux.error_to_string e));
           check bool_ "connection poisoned" false (Mux.is_open m)))
 
 (* ---------------- pipelining against the real server ---------------- *)
@@ -333,9 +299,7 @@ let test_slow_reader_backpressure () =
              connection count dropping to zero (ours was the only one). *)
           check bool_ "stalled connection disconnected by the server" true
             (eventually ~timeout:10.0 (fun () ->
-                 match Server.loop_stats srv with
-                 | Some ls -> ls.Server.ls_conns = 0
-                 | None -> false));
+                 (Server.loop_stats srv).Server.ls_conns = 0));
           (* And the socket really is dead: a bounded drain of whatever
              was buffered ends in EOF or a reset, never fresh data
              forever. *)
@@ -364,11 +328,9 @@ let test_slow_reader_backpressure () =
           in
           drain ());
       (* The outbox bound actually engaged... *)
-      (match Server.loop_stats srv with
-       | Some ls ->
-         check bool_ "outbox high-water mark reached the cap" true
-           (ls.Server.ls_outbox_hwm >= config.Server.max_outbox)
-       | None -> Alcotest.fail "event server reports no loop stats");
+      check bool_ "outbox high-water mark reached the cap" true
+        ((Server.loop_stats srv).Server.ls_outbox_hwm
+         >= config.Server.max_outbox);
       (* ...and the server is still healthy for well-behaved clients. *)
       with_mux srv (fun m ->
           check int_ "value intact after the stall" (String.length big)
@@ -395,15 +357,15 @@ let test_subscribe_push_under_load () =
             List.init 3 (fun w ->
                 Thread.create
                   (fun () ->
-                    let c = ok_cl (Client.connect ~port ()) in
+                    let c = ok_cl (Mux.connect ~port ()) in
                     let key = Printf.sprintf "k%d" w in
                     for i = 1 to writes do
                       ignore
                         (ok_cl
-                           (Client.request c
+                           (Mux.request c
                               [ "put"; key; "master"; string_of_int i ]))
                     done;
-                    Client.close c)
+                    Mux.close c)
                   ())
           in
           List.iter Thread.join writers;
@@ -477,26 +439,11 @@ let test_remote_subscribe () =
            | evs -> Alcotest.failf "expected 1 event, got %d" (List.length evs));
           ok_fb (Remote.unsubscribe r sub)))
 
-(* Threaded mode has no push path and must say so, typed. *)
-let test_subscribe_rejected_threaded () =
-  let fb = FB.create (Fb_chunk.Mem_store.create ()) in
-  let config = { test_config with mode = `Threaded } in
-  with_server ~config fb (fun srv ->
-      check bool_ "threaded server reports no loop stats" true
-        (Server.loop_stats srv = None);
-      with_mux srv (fun m ->
-          match Mux.subscribe ~key:"k" m (fun _ _ -> ()) with
-          | Error (Mux.Remote (Errors.Invalid msg)) ->
-            check bool_ "points at the event loop" true
-              (Tutil.contains msg "event-loop")
-          | Ok _ -> Alcotest.fail "threaded server accepted subscribe"
-          | Error e -> Alcotest.fail (Client.error_to_string e)))
-
 (* ---------------- transparent reconnect ---------------- *)
 
 let test_remote_reconnect () =
   let fb = FB.create (Fb_chunk.Mem_store.create ()) in
-  let srv1 = ok_net (Server.start ~config:test_config fb) in
+  let srv1 = Tutil.start_server fb in
   let port = Server.port srv1 in
   let r =
     match Remote.connect ~port () with
@@ -512,7 +459,7 @@ let test_remote_reconnect () =
          the same port. *)
       Server.stop srv1;
       let srv2 =
-        ok_net (Server.start ~config:{ test_config with port } fb)
+        Tutil.start_server ~config:{ test_config with port } fb
       in
       Fun.protect
         ~finally:(fun () -> Server.stop srv2)
@@ -526,7 +473,7 @@ let test_remote_reconnect () =
             (ok_fb (Remote.get r ~key:"k"))));
   (* A mutating verb must NOT be replayed over a dead transport: it
      surfaces Transient for the caller to decide. *)
-  let srv3 = ok_net (Server.start ~config:test_config fb) in
+  let srv3 = Tutil.start_server fb in
   let port3 = Server.port srv3 in
   let r3 =
     match Remote.connect ~port:port3 () with
@@ -539,7 +486,7 @@ let test_remote_reconnect () =
       ignore (ok_fb (Remote.put r3 ~key:"w" "1"));
       Server.stop srv3;
       let srv4 =
-        ok_net (Server.start ~config:{ test_config with port = port3 } fb)
+        Tutil.start_server ~config:{ test_config with port = port3 } fb
       in
       Fun.protect
         ~finally:(fun () -> Server.stop srv4)
@@ -615,7 +562,7 @@ let test_push_races_subscribe_reply () =
    and delivers a Gap marker; pushes then flow again. *)
 let test_watch_survives_restart () =
   let fb = FB.create (Fb_chunk.Mem_store.create ()) in
-  let srv1 = ok_net (Server.start ~config:test_config fb) in
+  let srv1 = Tutil.start_server fb in
   let port = Server.port srv1 in
   let r =
     match Remote.connect ~port () with
@@ -643,7 +590,7 @@ let test_watch_survives_restart () =
       Server.stop srv1;
       check bool_ "subscribed handle stays open through the outage" true
         (Remote.is_open r);
-      let srv2 = ok_net (Server.start ~config:{ test_config with port } fb) in
+      let srv2 = Tutil.start_server ~config:{ test_config with port } fb in
       Fun.protect
         ~finally:(fun () -> Server.stop srv2)
         (fun () ->
@@ -671,7 +618,7 @@ let test_stop_under_signal_storm () =
     ~finally:(fun () -> Sys.set_signal Sys.sigusr1 previous)
     (fun () ->
       let fb = FB.create (Fb_chunk.Mem_store.create ()) in
-      let srv = ok_net (Server.start ~config:test_config fb) in
+      let srv = Tutil.start_server fb in
       let port = Server.port srv in
       (* A live connection so stop has real teardown to do. *)
       let m = ok_cl (Mux.connect ~port ()) in
@@ -701,7 +648,7 @@ let test_stop_under_signal_storm () =
             true (elapsed < 5.0));
       (* The port is genuinely free again: a fresh server binds on it
          and serves. *)
-      let srv2 = ok_net (Server.start ~config:{ test_config with port } fb) in
+      let srv2 = Tutil.start_server ~config:{ test_config with port } fb in
       Fun.protect
         ~finally:(fun () -> Server.stop srv2)
         (fun () ->
@@ -709,70 +656,7 @@ let test_stop_under_signal_storm () =
               check string_ "fresh server serves after the storm" "v"
                 (ok_cl (Mux.request m2 [ "get"; "k"; "master" ])))))
 
-(* ---------------- threaded A/B engine parity ---------------- *)
-
-(* The serial engine answers a deep tagged pipeline correctly: requests
-   queue in the socket and are processed in order, but every reply must
-   echo its request's sequence id so the demux matches them up. *)
-let test_threaded_pipelined_depth () =
-  let fb = FB.create (Fb_chunk.Mem_store.create ()) in
-  let config = { test_config with mode = `Threaded } in
-  with_server ~config fb (fun srv ->
-      with_mux srv (fun m ->
-          let depth = 64 in
-          let tickets =
-            List.init depth (fun i ->
-                ok_cl
-                  (Mux.send m
-                     (Frame.Single
-                        [ "put"; "k"; "master"; Printf.sprintf "v%d" i ])))
-          in
-          List.iter
-            (fun tk ->
-              match Mux.await m tk with
-              | Ok (Frame.One (Ok uid)) ->
-                check bool_ "uid parses" true
-                  (Result.is_ok (FB.parse_version uid))
-              | _ -> Alcotest.fail "pipelined put failed on threaded engine")
-            (List.rev tickets);
-          check string_ "last pipelined write won"
-            (Printf.sprintf "v%d" (depth - 1))
-            (ok_cl (Mux.request m [ "get"; "k"; "master" ]))))
-
-(* Both halves of the conn-verb pair are rejected typed, not ignored. *)
-let test_unsubscribe_rejected_threaded () =
-  let fb = FB.create (Fb_chunk.Mem_store.create ()) in
-  let config = { test_config with mode = `Threaded } in
-  with_server ~config fb (fun srv ->
-      with_mux srv (fun m ->
-          match Mux.request m [ "unsubscribe"; "1" ] with
-          | Error (Mux.Remote (Errors.Invalid msg)) ->
-            check bool_ "typed rejection points at the event loop" true
-              (Tutil.contains msg "event-loop")
-          | Ok _ -> Alcotest.fail "threaded server accepted unsubscribe"
-          | Error e -> Alcotest.fail (Client.error_to_string e)))
-
 (* ---------------- event-loop health introspection ---------------- *)
-
-let http_get port path =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      let req = Printf.sprintf "GET %s HTTP/1.0\r\n\r\n" path in
-      ignore (Unix.write_substring fd req 0 (String.length req));
-      let buf = Buffer.create 1024 in
-      let chunk = Bytes.create 4096 in
-      let rec drain () =
-        match Unix.read fd chunk 0 4096 with
-        | 0 -> ()
-        | n ->
-          Buffer.add_subbytes buf chunk 0 n;
-          drain ()
-      in
-      drain ();
-      Buffer.contents buf)
 
 let test_loop_health () =
   let fb = FB.create (Fb_chunk.Mem_store.create ()) in
@@ -786,19 +670,17 @@ let test_loop_health () =
       with_mux srv (fun m ->
           ignore (ok_cl (Mux.request m [ "put"; "k"; "master"; "v" ]));
           let sid = ok_cl (Mux.subscribe ~key:"k" m (fun _ _ -> ())) in
-          (match Server.loop_stats srv with
-           | None -> Alcotest.fail "no loop stats in event mode"
-           | Some ls ->
-             check bool_ "a connection is open" true (ls.Server.ls_conns >= 1);
-             check int_ "subscription registered" 1 ls.Server.ls_subscriptions);
-          let healthz = http_get mport "/healthz" in
+          let ls = Server.loop_stats srv in
+          check bool_ "a connection is open" true (ls.Server.ls_conns >= 1);
+          check int_ "subscription registered" 1 ls.Server.ls_subscriptions;
+          let healthz = Tutil.http_get mport "/healthz" in
           List.iter
             (fun needle ->
               check bool_ ("healthz has " ^ needle) true
                 (Tutil.contains healthz needle))
             [ "\"mode\":\"event\""; "outbox_hwm_bytes"; "worker_queue_depth";
               "subscriptions"; "connections" ];
-          let metrics = http_get mport "/metrics" in
+          let metrics = Tutil.http_get mport "/metrics" in
           List.iter
             (fun needle ->
               check bool_ ("gauge " ^ needle) true
@@ -824,8 +706,6 @@ let suite =
     Alcotest.test_case "subscribe push under load" `Quick
       test_subscribe_push_under_load;
     Alcotest.test_case "typed remote subscribe" `Quick test_remote_subscribe;
-    Alcotest.test_case "subscribe rejected in threaded mode" `Quick
-      test_subscribe_rejected_threaded;
     Alcotest.test_case "remote transparent reconnect" `Quick
       test_remote_reconnect;
     Alcotest.test_case "push racing the subscribe reply" `Quick
@@ -834,9 +714,5 @@ let suite =
       test_watch_survives_restart;
     Alcotest.test_case "stop under a signal storm" `Quick
       test_stop_under_signal_storm;
-    Alcotest.test_case "threaded pipelined depth" `Quick
-      test_threaded_pipelined_depth;
-    Alcotest.test_case "unsubscribe rejected in threaded mode" `Quick
-      test_unsubscribe_rejected_threaded;
     Alcotest.test_case "event-loop health introspection" `Quick
       test_loop_health ]

@@ -24,16 +24,7 @@ let ok_fb = function
   | Ok v -> v
   | Error e -> Alcotest.fail (Errors.to_string e)
 
-let ok_net = function
-  | Ok v -> v
-  | Error e -> Alcotest.fail e
-
-let test_config =
-  { Server.default_config with port = 0; save_every_s = 0.0 }
-
-let with_server ?(config = test_config) fb f =
-  let srv = ok_net (Server.start ~config fb) in
-  Fun.protect ~finally:(fun () -> Server.stop srv) (fun () -> f srv)
+let with_server = Tutil.with_server
 
 let with_remote srv f =
   let r =
@@ -281,10 +272,9 @@ let test_sync_put_refuses_mismatch () =
   | Ok _ -> Alcotest.fail "mismatched id accepted"
   | Error e -> Alcotest.fail (Errors.to_string e)
 
-(* ---------------- wire round trip (both engines) ---------------- *)
+(* ---------------- wire round trip ---------------- *)
 
-let run_push_pull_roundtrip mode () =
-  let config = { test_config with mode } in
+let test_push_pull_roundtrip () =
   let src_store = Mem_store.create () in
   let src = FB.create src_store in
   ignore
@@ -292,7 +282,7 @@ let run_push_pull_roundtrip mode () =
        (FB.put src ~key:"table"
           (Value.map_of_bindings src_store (bindings 1500 "v"))));
   let srv_fb = FB.create (Mem_store.create ()) in
-  with_server ~config srv_fb (fun srv ->
+  with_server srv_fb (fun srv ->
       with_remote srv (fun r ->
           (* Full push: the server starts empty, everything crosses. *)
           let uid, full = ok_fb (Remote.push r src ~key:"table") in
@@ -413,8 +403,6 @@ let suite =
     Alcotest.test_case "sync_put refuses id mismatch" `Quick
       test_sync_put_refuses_mismatch;
     Alcotest.test_case "push/pull round trip (event)" `Quick
-      (run_push_pull_roundtrip `Event);
-    Alcotest.test_case "push/pull round trip (threaded)" `Quick
-      (run_push_pull_roundtrip `Threaded);
+      test_push_pull_roundtrip;
     Alcotest.test_case "pull refuses tampered chunks" `Quick
       test_pull_refuses_tampered_chunks ]
