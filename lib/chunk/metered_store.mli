@@ -19,7 +19,3 @@ val wrap : ?prefix:string -> Store.t -> Store.t
 val register_store_stats : ?prefix:string -> Store.t -> unit
 (** Register gauges over {!Store.stats} (physical chunks/bytes, logical
     bytes, puts, gets, dedup hits, dedup ratio) without metering. *)
-
-val register_cache : ?prefix:string -> Cache_store.cache_stats -> unit
-(** Fold an LRU cache's hits/misses/evictions and hit ratio into the
-    registry (default prefix ["fb_cache"]). *)

@@ -51,34 +51,45 @@ let run ?children ?(roots = []) ?replica ?quarantine ?(dry_run = false)
           then good := Hash.Set.add id !good
           else corrupt := (id, raw) :: !corrupt));
   let corrupt = List.rev !corrupt in
-  (* Pass 2: quarantine damaged blobs, then repair from the replica.  The
-     delete must come first either way: content-addressed [put] skips
-     names that already exist. *)
+  (* Pass 2: quarantine damaged blobs, then put back a healthy copy: the
+     scrubbed store's own when it still serves one (a cluster answers from
+     another replica), else the replica's. *)
   let quarantined = ref 0 and repaired = ref 0 in
   let unrepaired = ref [] in
-  let repair_from_replica id =
-    match replica with
+  let healthy_copy (s : Store.t) id =
+    match s.Store.peek id with
+    | Some raw when Hash.equal (Hash.of_string raw) id ->
+      Result.to_option (Chunk.decode raw)
+    | Some _ | None -> None
+  in
+  let replica_copy id = Option.bind replica (fun r -> healthy_copy r id) in
+  (* The one repair path.  The delete comes first: content-addressed [put]
+     skips names that already exist.  Through a cluster the delete reaches
+     every member and the put then rewrites every owner, so no damaged or
+     stale copy survives on any of them. *)
+  let quarantine_and_restore id healthy =
+    if Store.delete store id then incr quarantined;
+    match healthy with
     | None -> false
-    | Some (r : Store.t) -> (
-      match r.Store.peek id with
-      | Some raw when Hash.equal (Hash.of_string raw) id -> (
-        match Chunk.decode raw with
-        | Error _ -> false
-        | Ok chunk ->
-          ignore (Store.delete store id);
-          ignore (store.Store.put chunk);
-          incr repaired;
-          true)
-      | Some _ | None -> false)
+    | Some chunk ->
+      ignore (store.Store.put chunk);
+      incr repaired;
+      good := Hash.Set.add id !good;
+      true
   in
   if dry_run then unrepaired := List.map fst corrupt
   else
     List.iter
       (fun (id, raw) ->
         (match quarantine with Some keep -> keep id raw | None -> ());
-        if Store.delete store id then incr quarantined;
-        if repair_from_replica id then good := Hash.Set.add id !good
-        else unrepaired := id :: !unrepaired)
+        (* Take the healthy copy before the delete removes it. *)
+        let healthy =
+          match healthy_copy store id with
+          | Some _ as own -> own
+          | None -> replica_copy id
+        in
+        if not (quarantine_and_restore id healthy) then
+          unrepaired := id :: !unrepaired)
       corrupt;
   (* Pass 3: logical sweep — walk the Merkle graph from the roots and
      report reachable chunks the store cannot serve (even after a
@@ -95,8 +106,9 @@ let run ?children ?(roots = []) ?replica ?quarantine ?(dry_run = false)
           match store.Store.peek id with
           | Some raw when Hash.equal (Hash.of_string raw) id -> Some raw
           | _ ->
-            if (not dry_run) && repair_from_replica id then
-              store.Store.peek id
+            let healthy = if dry_run then None else replica_copy id in
+            if Option.is_some healthy && quarantine_and_restore id healthy
+            then store.Store.peek id
             else None
         in
         match raw with

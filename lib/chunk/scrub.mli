@@ -6,9 +6,13 @@
       a chunk; failures are listed in [corrupt];
     + {b quarantine & repair} (skipped under [dry_run]): each corrupt
       blob is handed to the [quarantine] callback (e.g. to copy the bytes
-      aside for forensics), deleted, and — when a [replica] holds a
-      healthy copy — re-put from it ([repaired]); otherwise it lands in
-      [unrepaired];
+      aside for forensics), then deleted ([quarantined]).  A healthy
+      copy taken before the delete is put back ([repaired]): the scrubbed
+      store's own when it still serves one (a cluster answers from
+      another replica), else the [replica]'s.  Through a cluster the
+      delete reaches every member and the put rewrites every owner, so
+      a damaged copy is healed wherever it sits.  With no healthy copy
+      anywhere the blob lands in [unrepaired];
     + {b logical} (needs [children] and [roots]): walk the Merkle graph
       from [roots]; reachable chunks the store cannot serve even after a
       last-chance replica repair are reported in [missing] (paired with
@@ -28,7 +32,7 @@ type report = {
   scanned_bytes : int;
   corrupt : Fb_hash.Hash.t list;  (** failed hash check or decode *)
   quarantined : int;  (** corrupt blobs removed from the store *)
-  repaired : int;  (** chunks restored from the replica *)
+  repaired : int;  (** chunks restored from a healthy copy *)
   unrepaired : Fb_hash.Hash.t list;  (** corrupt, and no healthy replica copy *)
   orphans : Fb_hash.Hash.t list;  (** healthy but unreachable from any root *)
   missing : (Fb_hash.Hash.t * Fb_hash.Hash.t) list;

@@ -10,6 +10,7 @@ module Pmap = Fb_postree.Pmap
 module Pset = Fb_postree.Pset
 module Plist = Fb_postree.Plist
 module Pblob = Fb_postree.Pblob
+module Seqtree = Fb_postree.Seqtree
 module Obs = Fb_obs.Obs
 
 (* Operation-level latency histograms (the numbers the paper's Figs. 4-6
@@ -438,60 +439,26 @@ let pp_map_conflict (c : Pmap.conflict) = Printf.sprintf "entry %S" c.Pmap.key
 let pp_set_conflict (c : Pset.conflict) = Printf.sprintf "element %S" c.Pset.key
 
 (* Sequences (lists, blobs) merge when the two sides' edits are disjoint
-   ranges of the base: apply the higher-positioned splice first so the
-   lower one's offsets stay valid. *)
-let disjoint_ranges (a_pos, a_len) (b_pos, b_len) =
-  a_pos + a_len <= b_pos || b_pos + b_len <= a_pos
-
-let merge_lists ~base ~ours ~theirs =
-  match Plist.diff base ours, Plist.diff base theirs with
+   ranges of the base: theirs' replacement is spliced into ours, shifted
+   by ours' length delta when it lands after ours' edit.  [sub] reads a
+   range of a sequence. *)
+let merge_seq ~diff ~sub ~splice ~base ~ours ~theirs =
+  match diff base ours, diff base theirs with
   | None, _ -> Some theirs
   | _, None -> Some ours
-  | Some da, Some db ->
-    if
-      disjoint_ranges
-        (da.Plist.old_pos, da.Plist.old_len)
-        (db.Plist.old_pos, db.Plist.old_len)
-    then begin
-      (* Splice theirs' replacement into ours; positions shift by ours'
-         length delta when theirs lands after ours' edit. *)
-      let delta = da.Plist.new_len - da.Plist.old_len in
+  | Some (da : Seqtree.range_diff), Some (db : Seqtree.range_diff) ->
+    let da_end = da.old_pos + da.old_len in
+    if da_end <= db.old_pos || db.old_pos + db.old_len <= da.old_pos then
       let pos =
-        if db.Plist.old_pos >= da.Plist.old_pos + da.Plist.old_len then
-          db.Plist.old_pos + delta
-        else db.Plist.old_pos
+        if db.old_pos >= da_end then db.old_pos + da.new_len - da.old_len
+        else db.old_pos
       in
-      let replacement =
-        List.filteri
-          (fun i _ -> i >= db.Plist.new_pos && i < db.Plist.new_pos + db.Plist.new_len)
-          (Plist.to_list theirs)
-      in
-      Some (Plist.splice ours ~pos ~remove:db.Plist.old_len ~insert:replacement)
-    end
+      let insert = sub theirs ~pos:db.new_pos ~len:db.new_len in
+      Some (splice ours ~pos ~remove:db.old_len ~insert)
     else None
 
-let merge_blobs ~base ~ours ~theirs =
-  match Pblob.diff base ours, Pblob.diff base theirs with
-  | None, _ -> Some theirs
-  | _, None -> Some ours
-  | Some da, Some db ->
-    if
-      disjoint_ranges
-        (da.Pblob.old_pos, da.Pblob.old_len)
-        (db.Pblob.old_pos, db.Pblob.old_len)
-    then begin
-      let delta = da.Pblob.new_len - da.Pblob.old_len in
-      let pos =
-        if db.Pblob.old_pos >= da.Pblob.old_pos + da.Pblob.old_len then
-          db.Pblob.old_pos + delta
-        else db.Pblob.old_pos
-      in
-      let replacement =
-        Pblob.read theirs ~pos:db.Pblob.new_pos ~len:db.Pblob.new_len
-      in
-      Some (Pblob.splice ours ~pos ~remove:db.Pblob.old_len ~insert:replacement)
-    end
-    else None
+let list_sub l ~pos ~len =
+  List.filteri (fun i _ -> i >= pos && i < pos + len) (Plist.to_list l)
 
 (* Structural three-way value merge.  Equal values and one-sided changes
    are handled uniformly for every type; entry-level merging exists for
@@ -499,6 +466,17 @@ let merge_blobs ~base ~ours ~theirs =
    merge when the two sides edited disjoint ranges. *)
 let merge_values t ~key ~strategy ~base ~ours ~theirs =
   ignore t;
+  let seq_outcome noun wrap = function
+    | Some merged -> Ok (wrap merged)
+    | None -> (
+      match strategy with
+      | Prefer_ours -> Ok ours
+      | Prefer_theirs -> Ok theirs
+      | Fail_on_conflict ->
+        Error
+          (Errors.Merge_conflict
+             { key; details = [ "overlapping " ^ noun ^ " edits" ] }))
+  in
   if Value.equal ours theirs then Ok ours
   else if Value.equal base ours then Ok theirs   (* only theirs changed *)
   else if Value.equal base theirs then Ok ours   (* only ours changed *)
@@ -549,28 +527,14 @@ let merge_values t ~key ~strategy ~base ~ours ~theirs =
                      (fun (c : Pmap.conflict) ->
                        Printf.sprintf "row %S" c.Pmap.key)
                      conflicts }))
-    | Value.List b, Value.List o, Value.List h -> (
-      match merge_lists ~base:b ~ours:o ~theirs:h with
-      | Some merged -> Ok (Value.List merged)
-      | None -> (
-        match strategy with
-        | Prefer_ours -> Ok ours
-        | Prefer_theirs -> Ok theirs
-        | Fail_on_conflict ->
-          Error
-            (Errors.Merge_conflict
-               { key; details = [ "overlapping list edits" ] })))
-    | Value.Blob b, Value.Blob o, Value.Blob h -> (
-      match merge_blobs ~base:b ~ours:o ~theirs:h with
-      | Some merged -> Ok (Value.Blob merged)
-      | None -> (
-        match strategy with
-        | Prefer_ours -> Ok ours
-        | Prefer_theirs -> Ok theirs
-        | Fail_on_conflict ->
-          Error
-            (Errors.Merge_conflict
-               { key; details = [ "overlapping blob edits" ] })))
+    | Value.List b, Value.List o, Value.List h ->
+      merge_seq ~diff:Plist.diff ~sub:list_sub ~splice:Plist.splice ~base:b
+        ~ours:o ~theirs:h
+      |> seq_outcome "list" (fun l -> Value.List l)
+    | Value.Blob b, Value.Blob o, Value.Blob h ->
+      merge_seq ~diff:Pblob.diff ~sub:Pblob.read ~splice:Pblob.splice ~base:b
+        ~ours:o ~theirs:h
+      |> seq_outcome "blob" (fun b -> Value.Blob b)
     | _ -> (
       (* No structural merge for primitives or type-changed values: both
          sides changed, so only a strategy can pick a winner. *)

@@ -74,6 +74,13 @@ let value_json ?(preview_rows = 20) value =
 
 let row_json row = Json.Array (List.map primitive_json row)
 
+(* A blob or list change: the replaced range and its replacement. *)
+let range (r : Fb_postree.Seqtree.range_diff) =
+  [ ("old_pos", Json.int r.old_pos);
+    ("old_len", Json.int r.old_len);
+    ("new_pos", Json.int r.new_pos);
+    ("new_len", Json.int r.new_len) ]
+
 let diff_json d =
   let typed kind fields =
     Json.Object
@@ -90,18 +97,8 @@ let diff_json d =
   | Diffview.Primitive_change (p1, p2) ->
     typed "primitive"
       [ ("before", primitive_json p1); ("after", primitive_json p2) ]
-  | Diffview.Blob_change r ->
-    typed "blob"
-      [ ("old_pos", Json.int r.Pblob.old_pos);
-        ("old_len", Json.int r.Pblob.old_len);
-        ("new_pos", Json.int r.Pblob.new_pos);
-        ("new_len", Json.int r.Pblob.new_len) ]
-  | Diffview.List_change r ->
-    typed "list"
-      [ ("old_pos", Json.int r.Plist.old_pos);
-        ("old_len", Json.int r.Plist.old_len);
-        ("new_pos", Json.int r.Plist.new_pos);
-        ("new_len", Json.int r.Plist.new_len) ]
+  | Diffview.Blob_change r -> typed "blob" (range r)
+  | Diffview.List_change r -> typed "list" (range r)
   | Diffview.Map_changes cs ->
     typed "map"
       [ ( "changes",

@@ -98,19 +98,21 @@ let feed t c =
   if t.count < k then t.count <- t.count + 1;
   t.count >= k && t.state = 0
 
-let feed_string t s =
-  let n = String.length s in
-  bytes_scanned := !bytes_scanned + n;
-  let hit = ref false in
-  let i = ref 0 in
+let scan t s off len =
+  (* One range check per call keeps the unsafe reads below in bounds. *)
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Rolling.scan";
+  let stop = off + len in
+  let found = ref (-1) in
+  let i = ref off in
   let k = t.params.window in
   (* Warm-up: per-char until the window is full, so the not-yet-full branch
      stays out of the main loop. *)
-  while !i < n && t.count < k do
-    if feed t (String.unsafe_get s !i) then hit := true;
+  while !found < 0 && !i < stop && t.count < k do
+    if feed t (String.unsafe_get s !i) then found := !i + 1;
     incr i
   done;
-  if !i < n then begin
+  if !found < 0 && !i < stop then begin
     (* Steady state: the window is full, so every byte runs the same
        three-term recurrence δ(Φ) ⊕ δ^k(Γ(out)) ⊕ Γ(in).  Table, masks and
        shift counts are hoisted; ring and table accesses are unsafe (the
@@ -127,8 +129,9 @@ let feed_string t s =
     let qmrk = q - rk in
     let state = ref t.state in
     let pos = ref t.pos in
-    for j = !i to n - 1 do
-      let c = String.unsafe_get s j in
+    let lim = ref stop in
+    while !i < !lim do
+      let c = String.unsafe_get s !i in
       let incoming = Array.unsafe_get table (Char.code c) in
       let outgoing =
         Array.unsafe_get table (Char.code (Bytes.unsafe_get ring !pos))
@@ -141,12 +144,26 @@ let feed_string t s =
       Bytes.unsafe_set ring !pos c;
       let p = !pos + 1 in
       pos := if p = k then 0 else p;
-      if st = 0 then hit := true
+      incr i;
+      if st = 0 then begin
+        found := !i;
+        lim := !i
+      end
     done;
     t.state <- !state;
     t.pos <- !pos
   end;
-  !hit
+  !found
+
+let feed_string t s =
+  let n = String.length s in
+  bytes_scanned := !bytes_scanned + n;
+  let j = ref (scan t s 0 n) in
+  let hit = !j >= 0 in
+  while !j >= 0 && !j < n do
+    j := scan t s !j (n - !j)
+  done;
+  hit
 
 let hits_in params s =
   let t = create params in

@@ -45,6 +45,18 @@ val feed_string : t -> string -> bool
     calling {!feed} per byte.  It is observationally identical to feeding
     each byte through {!feed} (property-tested). *)
 
+val scan : t -> string -> int -> int -> int
+(** [scan t s off len] absorbs the bytes of [s] from [off] up to and
+    including the first one at which the pattern fires, and returns the
+    offset just past that byte; [-1] if the pattern did not fire in the
+    [len] bytes, all of which are then absorbed.  The blob chunker cuts
+    leaves with it; {!feed_string} is a loop over it.  Same steady-state
+    loop and same observable result as {!feed} per byte.  Bytes absorbed
+    here do not count towards {!stats}' [bytes_scanned].
+
+    @raise Invalid_argument unless [0 <= off], [0 <= len] and
+    [off + len <= String.length s]. *)
+
 val fingerprint : t -> int
 (** Current rolling state Φ (q bits).  Exposed for diagnostics and for the
     differential tests that check {!feed_string} against per-byte

@@ -4,7 +4,13 @@
     slicing, as in LBFS [8]); internal nodes are {!Seqtree} count-indexed
     nodes.  Two blobs differing in a local edit share every chunk outside a
     small window around the edit, whatever the byte offsets — this is the
-    deduplication Fig. 4 demonstrates on CSV files. *)
+    deduplication Fig. 4 demonstrates on CSV files.
+
+    The tree is {!Seqtree}'s; this module is its blob leaf codec (a leaf
+    is raw bytes, cut at the byte where the pattern fires, by one
+    {!Fb_hash.Rolling.scan} per leaf) plus what only blobs do: byte
+    {!read} and {!to_string}.  {!diff} is the leaf-aligned window
+    untrimmed, and proofs cover byte ranges. *)
 
 type t
 
@@ -30,7 +36,7 @@ val splice : t -> pos:int -> remove:int -> insert:string -> t
 
 val append : t -> string -> t
 
-type range_diff = {
+type range_diff = Seqtree.range_diff = {
   old_pos : int; old_len : int;   (** replaced range in the old blob *)
   new_pos : int; new_len : int;   (** replacement range in the new blob *)
 }

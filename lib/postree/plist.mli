@@ -3,7 +3,14 @@
 
     Like {!Pblob} but element-granular: node boundaries never split an
     element, and positions index elements instead of bytes.  Backs the
-    ForkBase [List] value type. *)
+    ForkBase [List] value type.
+
+    The tree is {!Seqtree}'s; this module is its list leaf codec (a leaf
+    is a length-prefixed run of elements, cut by the node chunker after
+    the element in which the pattern fires) plus what only lists do:
+    {!diff} trims equal elements off the leaf-aligned window, and
+    {!prove} proves one index, routing an out-of-range one to the last
+    leaf. *)
 
 type t
 
@@ -30,7 +37,7 @@ val set : t -> int -> string -> t
 
 val push_back : t -> string -> t
 
-type range_diff = {
+type range_diff = Seqtree.range_diff = {
   old_pos : int; old_len : int;
   new_pos : int; new_len : int;
 }

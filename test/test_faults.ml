@@ -372,9 +372,11 @@ let test_api_fault_matrix () =
           typed_or "head" (FB.head fb ~key:"k0");
           (* Scrub the faulty member against the replica, which holds
              every chunk, then every key must read back correctly.  The
-             scrub runs per member: a delete through the cluster reaches
-             every replica, healthy ones included.  A transient fault
-             stops the scrub where it is; what it healed stays healed. *)
+             scrub runs on the member so its damage is what gets healed;
+             a scrub through the cluster keeps healthy replicas too (see
+             "scrub: cluster keeps the healthy replica").  A transient
+             fault stops the scrub where it is; what it healed stays
+             healed. *)
           (try ignore (Scrub.run ~replica faulty) with Store.Transient _ -> ());
           Hashtbl.iter
             (fun key v ->
@@ -510,6 +512,39 @@ let test_scrub_reachability () =
       match FB.get fb ~key:"doc" with
       | Ok v -> check bool_ "value restored" true (Value.equal v (Value.string "v1"))
       | Error e -> Alcotest.fail (Errors.to_string e))
+
+(* Scrub through a cluster: one member's copy is damaged, the other's is
+   healthy.  The quarantine delete reaches every member, so the scrub must
+   not leave the cluster without the chunk, and it must heal the damaged
+   copy whether that copy sits on the first owner or the second. *)
+let test_scrub_cluster_keeps_healthy_replica () =
+  List.iter
+    (fun first_owner ->
+      let a, ha = Mem_store.create_with_handle () in
+      let b = Mem_store.create () in
+      let c, store = pair a b in
+      let chunk = owned_first_by c first_owner ("scrub " ^ first_owner) in
+      let id = Store.put store chunk in
+      ignore (Mem_store.tamper ha id ~f:flip_byte);
+      let report = Scrub.run store in
+      let ctx what = Printf.sprintf "%s (first owner %s)" what first_owner in
+      check int_ (ctx "corrupt") 1 (List.length report.Scrub.corrupt);
+      check int_ (ctx "repaired") 1 report.Scrub.repaired;
+      check int_ (ctx "unrepaired") 0 (List.length report.Scrub.unrepaired);
+      check bool_ (ctx "clean") true (Scrub.clean report);
+      let healthy (m : Store.t) =
+        match m.Store.peek id with
+        | Some raw -> Hash.equal (Hash.of_string raw) id
+        | None -> false
+      in
+      check bool_ (ctx "damaged member healed") true (healthy a);
+      check bool_ (ctx "healthy replica kept") true (healthy b);
+      check bool_ (ctx "chunk readable") true
+        (match Store.get store id with
+         | Some got -> Hash.equal (Chunk.hash got) id
+         | None -> false);
+      Cluster_store.close c)
+    [ "primary"; "replica" ]
 
 (* Crash -> torn overlay -> scrub quarantines and repairs, end to end. *)
 let test_crash_then_scrub () =
@@ -743,6 +778,8 @@ let suite =
       test_scrub_reachability;
     Alcotest.test_case "scrub: crash artifact healed from replica" `Quick
       test_crash_then_scrub;
+    Alcotest.test_case "scrub: cluster keeps the healthy replica" `Quick
+      test_scrub_cluster_keeps_healthy_replica;
     Alcotest.test_case "file store: tmp cleanup on reopen" `Quick
       test_tmp_cleanup_on_reopen;
     Alcotest.test_case "backoff: duration caps and overflow" `Quick

@@ -299,6 +299,31 @@ let qcheck_cases =
             String.iter (fun c -> if Rolling.feed slow c then hs := true) seg;
             hf = !hs && Rolling.fingerprint fast = Rolling.fingerprint slow)
           segments);
+    Test.make ~name:"rolling: scan stops after the first hit" ~count:200
+      (pair (string_gen Gen.char) (int_range 0 64))
+      (fun (s, off) ->
+        (* [scan] from an offset ends exactly where per-byte [feed] first
+           fires, in the same state; [-1] after absorbing everything. *)
+        let params = { Rolling.window = 5; q = 4 } in
+        let n = String.length s in
+        let off = min off n in
+        let fast = Rolling.create params in
+        let slow = Rolling.create params in
+        let rec first i =
+          if i >= n then -1
+          else if Rolling.feed slow s.[i] then i + 1
+          else first (i + 1)
+        in
+        let j = Rolling.scan fast s off (n - off) in
+        (* A range outside [s] is refused, never read. *)
+        let refused off len =
+          match Rolling.scan (Rolling.create params) s off len with
+          | _ -> false
+          | exception Invalid_argument _ -> true
+        in
+        j = first off
+        && Rolling.fingerprint fast = Rolling.fingerprint slow
+        && refused (-1) 1 && refused off (-1) && refused off (n - off + 1));
     Test.make ~name:"rolling: hits depend only on trailing window"
       ~count:100
       (pair (string_gen Gen.char) small_string)

@@ -751,7 +751,27 @@ let test_golden_hashes () =
   let l = Fb_postree.Plist.of_list store (List.map snd (mk_bindings ~seed:3L 1200)) in
   check Alcotest.string "plist root"
     "2f10abfaef889420ab2ad705dec1346579aeaca68cbe775ab2468a71ec8876af"
-    (root_hex (Fb_postree.Plist.root l))
+    (root_hex (Fb_postree.Plist.root l));
+  (* Proof chunk lists, digested with each chunk length-prefixed. *)
+  let proof_hex = function
+    | Error e -> "ERROR " ^ e
+    | Ok chunks ->
+      hex
+        (Hash.of_string
+           (String.concat ""
+              (List.map
+                 (fun c -> Printf.sprintf "%d:%s" (String.length c) c)
+                 chunks)))
+  in
+  check Alcotest.string "plist proof in range"
+    "eeeb53958cb45ccaa11e1e41f6f482ee510829939f09279382650889204b0109"
+    (proof_hex (Fb_postree.Plist.prove l 700));
+  check Alcotest.string "plist proof out of range"
+    "582ef9742215a871339c76b0c8e4fd4ffb78dff52d74bc4b1ff9f23730f8b1a5"
+    (proof_hex (Fb_postree.Plist.prove l 5000));
+  check Alcotest.string "pblob range proof"
+    "6618632adc7cec84b0d980ee13b04645c55a8e537a4d48a982d539f6403e916d"
+    (proof_hex (Fb_postree.Pblob.prove b ~pos:100_000 ~len:20_000))
 
 (* ---------------- Pset ---------------- *)
 
